@@ -1,30 +1,30 @@
-"""SQL pushdown vs the frozen eager evaluator on NU-WRF scinc data —
-the BENCH_sql trajectory (ISSUE 9).
+"""SQL pushdown vs a full scan on NU-WRF scinc data — the BENCH_sql
+trajectory.
 
 The workload is the paper's Fig. 9 shape: a selective rain query over
 synthetic NU-WRF timesteps on the PFS (``WHERE QR > t`` with ``t`` just
-under the global maximum) plus a per-level aggregate. Three engine
+under the global maximum) plus a per-level aggregate. Two planner
 configurations run the same queries over identical data:
 
-- ``legacy-eager``: the frozen :func:`repro.rlang._legacy.legacy_sqldf`
-  over fully materialized tables — every chunk of every variable moves.
-- ``planner``: the logical planner with pushdown off — the timing twin
-  of the eager path (same reads, same order; CI pins the delta at 1e-9).
+- ``planner``: pushdown off, so every chunk of every variable of each
+  referenced table moves (the full scan);
 - ``planner+pushdown``: projection pushdown drops the 22 unreferenced
   variables and zone maps prune chunks the predicate cannot match, so
   only a sliver of the file's bytes leave the PFS.
 
-All timings are *simulated* seconds, so the comparison is deterministic
-— CI gates identical result frames, the 1e-9 twin delta, and a >= 10x
-bytes-scanned reduction for the pushdown config. Results land in
+All timings are *simulated* seconds, so the comparison is deterministic.
+The gates: identical result frames, a >= 10x bytes-scanned reduction
+for the pushdown config, the full scan's simulated seconds pinned at
+the bench world, and its bytes equal to ``full_scan_bytes``, the sum of
+every chunk's stored bytes in the scanned files' headers (parsed from
+the stored file, not from the session's accounting). Results land in
 ``bench_results/BENCH_sql.json``.
 """
 
 from __future__ import annotations
 
-#: the ISSUE-9 trajectory gates
+#: the pushdown trajectory gate
 MIN_BYTES_REDUCTION = 10.0
-TWIN_TOLERANCE = 1e-9
 
 
 def _nuwrf_config(shape=(8, 48, 48), timesteps: int = 2):
@@ -79,12 +79,11 @@ def _queries(manifest, threshold: float) -> list[str]:
     ], first
 
 
-#: engine configurations: name -> (engine, pushdown) — plain data so a
-#: campaign state point can name a config by string
+#: planner configurations: name -> pushdown — plain data so a campaign
+#: state point can name a config by string
 SQL_CONFIGS = {
-    "legacy-eager": ("legacy", False),
-    "planner": ("planner", False),
-    "planner+pushdown": ("planner", True),
+    "planner": False,
+    "planner+pushdown": True,
 }
 
 
@@ -106,7 +105,7 @@ def run_config(name: str, shape=(8, 48, 48), timesteps: int = 2,
     not given).
     """
     try:
-        engine, pushdown = SQL_CONFIGS[name]
+        pushdown = SQL_CONFIGS[name]
     except KeyError:
         raise ValueError(
             f"unknown sql config {name!r}; have "
@@ -114,19 +113,32 @@ def run_config(name: str, shape=(8, 48, 48), timesteps: int = 2,
     config = _nuwrf_config(shape=tuple(shape), timesteps=timesteps)
     if threshold is None:
         threshold = selective_threshold(config)
-    entry, results = _run_config(engine, pushdown, config, threshold)
+    entry, results, full_scan_bytes = _run_config(
+        pushdown, config, threshold)
     return {"entry": entry, "results": serialize_frames(results),
-            "threshold": threshold}
+            "threshold": threshold, "full_scan_bytes": full_scan_bytes}
 
 
-def _run_config(engine: str, pushdown: bool, config, threshold: float):
+def _stored_chunk_bytes(pfs, path: str) -> int:
+    """Sum of every chunk's stored bytes in one scinc file's header,
+    parsed from the file's bytes on ``pfs``."""
+    import io
+
+    from repro.formats.container import read_header
+
+    header = read_header(io.BytesIO(pfs.read_file_sync(path)))
+    return sum(rec.nbytes for var_path in header.variable_paths()
+               for rec in header.variable(var_path).chunks)
+
+
+def _run_config(pushdown: bool, config, threshold: float):
     from repro.rlang.session import SQLSession
 
     env, nodes, scidp, manifest = build_sql_world(config)
-    session = SQLSession(env, scidp.storage, nodes[0],
-                         pushdown=pushdown, engine=engine)
-    for i, path in enumerate(manifest["files"]):
-        session.register_scinc(f"t{i}", f"pfs://{path.lstrip('/')}")
+    session = SQLSession(env, scidp.storage, nodes[0], pushdown=pushdown)
+    paths = {f"t{i}": path for i, path in enumerate(manifest["files"])}
+    for table, path in paths.items():
+        session.register_scinc(table, f"pfs://{path.lstrip('/')}")
     queries, _first = _queries(manifest, threshold)
     t0 = env.now
     results = []
@@ -146,7 +158,20 @@ def _run_config(engine: str, pushdown: bool, config, threshold: float):
         "chunks_read": sum(info.chunks_read for info in scans),
         "chunks_pruned": sum(info.chunks_pruned for info in scans),
         "variables_pruned": sum(info.variables_pruned for info in scans),
-    }, results
+    }, results, _full_scan_bytes(scidp.pfs, paths, scans)
+
+
+def _full_scan_bytes(pfs, paths: dict, scans) -> int:
+    """Stored chunk bytes of the file behind every scan that ran: what
+    a session reading each scanned table in full must read."""
+    per_table: dict[str, int] = {}
+    total = 0
+    for info in scans:
+        if info.table not in per_table:
+            per_table[info.table] = _stored_chunk_bytes(
+                pfs, paths[info.table])
+        total += per_table[info.table]
+    return total
 
 
 def build_comparison_doc(entries: dict, shape, timesteps: int) -> dict:
@@ -156,7 +181,8 @@ def build_comparison_doc(entries: dict, shape, timesteps: int) -> dict:
     shape."""
     doc: dict = {"experiment": "sql_pushdown",
                  "shape": list(shape), "timesteps": timesteps,
-                 "threshold": entries["legacy-eager"]["threshold"],
+                 "threshold": entries["planner"]["threshold"],
+                 "full_scan_bytes": entries["planner"]["full_scan_bytes"],
                  "configs": {}}
     reference = None
     for name in SQL_CONFIGS:
@@ -166,15 +192,12 @@ def build_comparison_doc(entries: dict, shape, timesteps: int) -> dict:
         entry = dict(entries[name]["entry"])
         entry["identical_results"] = results == reference
         doc["configs"][name] = entry
-    eager = doc["configs"]["legacy-eager"]
-    planner = doc["configs"]["planner"]
+    full = doc["configs"]["planner"]
     pushed = doc["configs"]["planner+pushdown"]
-    doc["twin_delta"] = abs(
-        eager["sim_seconds"] - planner["sim_seconds"])
     doc["bytes_reduction"] = (
-        eager["bytes_scanned"] / pushed["bytes_scanned"]
+        full["bytes_scanned"] / pushed["bytes_scanned"]
         if pushed["bytes_scanned"] else float("inf"))
-    doc["speedup"] = (eager["sim_seconds"] / pushed["sim_seconds"]
+    doc["speedup"] = (full["sim_seconds"] / pushed["sim_seconds"]
                       if pushed["sim_seconds"] else float("inf"))
     doc["identical_results"] = all(
         entry["identical_results"] for entry in doc["configs"].values())
@@ -182,7 +205,7 @@ def build_comparison_doc(entries: dict, shape, timesteps: int) -> dict:
 
 
 def sql_pushdown_result(shape=(8, 48, 48), timesteps: int = 2) -> dict:
-    """Run every engine configuration; returns the full comparison doc."""
+    """Run every planner configuration; returns the comparison doc."""
     config = _nuwrf_config(shape=shape, timesteps=timesteps)
     threshold = selective_threshold(config)
     entries = {name: run_config(name, shape=shape, timesteps=timesteps,
@@ -195,19 +218,19 @@ def doc_rows(doc: dict):
     """(columns, rows, note) for a comparison document — shared by the
     CLI below and the campaign aggregation table."""
     columns = ["engine config", "sim seconds", "MB scanned",
-               "chunks read", "chunks pruned", "speedup vs eager"]
-    eager = doc["configs"]["legacy-eager"]["sim_seconds"]
+               "chunks read", "chunks pruned", "speedup vs full scan"]
+    full = doc["configs"]["planner"]["sim_seconds"]
     rows = [
         (name, round(entry["sim_seconds"], 5),
          round(entry["bytes_scanned"] / 1e6, 3),
          entry["chunks_read"], entry["chunks_pruned"],
-         round(eager / entry["sim_seconds"], 2))
+         round(full / entry["sim_seconds"], 2))
         for name, entry in doc["configs"].items()
     ]
     note = (f"Fig. 9-style selective QR scan over {doc['timesteps']} "
             f"NU-WRF "
             f"timesteps; bytes reduction {doc['bytes_reduction']:.1f}x, "
-            f"legacy-vs-planner twin delta {doc['twin_delta']:.2e}s, "
+            f"full scan {doc['full_scan_bytes']} stored chunk bytes, "
             f"identical results: {doc['identical_results']}; "
             f"simulated time, deterministic")
     return columns, rows, note
@@ -219,7 +242,7 @@ def sql_rows(shape=(8, 48, 48), timesteps: int = 2):
     return doc_rows(doc)
 
 
-__all__ = ["MIN_BYTES_REDUCTION", "SQL_CONFIGS", "TWIN_TOLERANCE",
-           "build_comparison_doc", "build_sql_world", "doc_rows",
-           "run_config", "selective_threshold", "serialize_frames",
-           "sql_pushdown_result", "sql_rows"]
+__all__ = ["MIN_BYTES_REDUCTION", "SQL_CONFIGS", "build_comparison_doc",
+           "build_sql_world", "doc_rows", "run_config",
+           "selective_threshold", "serialize_frames", "sql_pushdown_result",
+           "sql_rows"]

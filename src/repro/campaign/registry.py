@@ -200,8 +200,8 @@ CAMPAIGNS: dict[str, CampaignDef] = {
         ),
         CampaignDef(
             name="sql",
-            description="SQL planner pushdown configurations vs the "
-                        "frozen eager evaluator on NU-WRF scinc data",
+            description="SQL planner pushdown vs a full scan on "
+                        "NU-WRF scinc data",
             worker="repro.bench.campaigns:sql_point",
             space=_sql_space,
             aggregate=_sql_aggregate,

@@ -1,10 +1,8 @@
-"""Physical execution of logical plans over DataFrames (ISSUE 9).
+"""Physical execution of logical plans over DataFrames.
 
-The executor reuses the vectorized expression kernels of
+The executor runs the vectorized expression kernels of
 :mod:`repro.rlang.sqldf` (``_eval`` / ``_eval_aggregate`` / join /
-distinct helpers) so the planner path is operation-for-operation the
-frozen eager evaluator — the randomized equivalence suite pins the two
-worlds to identical frames. What the planner adds on top:
+distinct / grouping helpers) over each plan node. On top of them:
 
 - scans are materialized through a ``resolve`` callback, so the same
   plan runs over in-memory frames (:func:`run_query`) or over
@@ -12,7 +10,10 @@ worlds to identical frames. What the planner adds on top:
   *before* bytes move (:mod:`repro.rlang.session`);
 - GROUP BY and ORDER BY names resolve through SELECT aliases;
 - unknown-column errors are :class:`SQLError` and list the available
-  columns instead of surfacing a bare ``KeyError``.
+  columns instead of surfacing a bare ``KeyError``;
+- ORDER BY sorts every key in its own direction; rows tied on every
+  key keep their input order, reversed when the leading key is DESC.
+  NaN sorts above every number (last ascending, first descending).
 """
 
 from __future__ import annotations
@@ -85,53 +86,25 @@ def frame_scan(frame: DataFrame, columns: Optional[list[str]],
     return out
 
 
-def _hash_join_build_left(left: DataFrame, right: DataFrame,
-                          using: list[str]) -> DataFrame:
-    """Broadcast-style join building the *left* side's hash index.
-
-    Emits exactly the pair order of :func:`~repro.rlang.sqldf._hash_join`
-    (left-major, right insertion order within a key), so the cost-model's
-    build-side choice can never change results.
-    """
-    for key in using:
-        if key not in left or key not in right:
-            raise SQLError(f"USING column {key!r} missing from a side")
-    left_rest = [c for c in left.names if c not in using]
-    right_rest = [c for c in right.names if c not in using]
-    clash = set(left_rest) & set(right_rest)
-    if clash:
-        raise SQLError(
-            f"ambiguous non-key columns in join: {sorted(clash)}")
-
-    index: dict[tuple, list[int]] = {}
-    left_keys = [left[k] for k in using]
-    for i in range(left.nrow):
-        index.setdefault(
-            tuple(col[i] for col in left_keys), []).append(i)
-
-    matches: dict[int, list[int]] = {}
-    right_keys = [right[k] for k in using]
-    for j in range(right.nrow):
-        for i in index.get(tuple(col[j] for col in right_keys), ()):
-            matches.setdefault(i, []).append(j)
-
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    for i in range(left.nrow):
-        for j in matches.get(i, ()):
-            left_rows.append(i)
-            right_rows.append(j)
-
-    li = np.array(left_rows, dtype=np.int64)
-    ri = np.array(right_rows, dtype=np.int64)
-    out = DataFrame()
-    for key in using:
-        out[key] = left[key][li] if len(li) else left[key][:0]
-    for name in left_rest:
-        out[name] = left[name][li] if len(li) else left[name][:0]
-    for name in right_rest:
-        out[name] = right[name][ri] if len(ri) else right[name][:0]
-    return out
+def _sort_order(keys: list[tuple[np.ndarray, bool]], n: int) -> np.ndarray:
+    """Row order for ORDER BY ``keys`` (``(values, descending)`` pairs,
+    most significant first): one stable sort per key, least significant
+    first, each in its own direction. Rows tied on every key keep input
+    order, reversed when the leading key is DESC, which is exactly what
+    a single-key sort gives."""
+    order = np.arange(n)
+    if keys and keys[0][1]:
+        order = order[::-1]
+    for values, desc in reversed(keys):
+        current = values[order]
+        if desc:
+            # stable descending: sort the reversed sequence ascending,
+            # then read it backwards, so ties keep their current order
+            pos = (n - 1 - np.argsort(current[::-1], kind="stable"))[::-1]
+        else:
+            pos = np.argsort(current, kind="stable")
+        order = order[pos]
+    return order
 
 
 def _with_column(frame: DataFrame, name: str,
@@ -173,15 +146,15 @@ def _aggregate(node: Aggregate_, frame: DataFrame) -> DataFrame:
             keys.append(hidden)
         groups = _group_frames(work, keys)
     else:
-        groups = [((), frame)]
+        groups = [frame]
     if node.having is not None:
         groups = [
-            (key, grp) for key, grp in groups
+            grp for grp in groups
             if bool(_eval_aggregate_cols(node.having, grp, grp.nrow))
         ]
     rows: list[list[Any]] = []
     names = [_item_name(item, i) for i, item in enumerate(node.items)]
-    for _key, grp in groups:
+    for grp in groups:
         rows.append([
             _eval_aggregate_cols(item.expr, grp, grp.nrow)
             for item in node.items
@@ -202,8 +175,6 @@ def execute(root: PlanNode,
         if isinstance(node, Join):
             left = run(node.left)
             right = resolve(node.right)
-            if node.build_side == "left" and node.strategy == "broadcast":
-                return _hash_join_build_left(left, right, node.using)
             return _hash_join(left, right, node.using)
         if isinstance(node, Filter):
             frame = run(node.child)
@@ -213,33 +184,27 @@ def execute(root: PlanNode,
             return _aggregate(node, run(node.child))
         if isinstance(node, SortOutput):
             result = run(node.child)
-            for expr, desc in reversed(node.order_by):
+            keys = []
+            for expr, desc in node.order_by:
                 if not isinstance(expr, Column):
                     raise SQLError(
                         "ORDER BY on aggregate queries must name an "
                         "output column")
-                try:
-                    result = result.order_by(expr.name, decreasing=desc)
-                except KeyError as exc:
-                    raise SQLError(
-                        f"unknown column: {exc.args[0]}") from None
-            return result
+                keys.append((_eval_cols(expr, result, result.nrow), desc))
+            return result.subset(_sort_order(keys, result.nrow))
         if isinstance(node, SortSource):
             ordered = run(node.child)
             aliases = {
                 _item_name(item, i): item.expr
                 for i, item in enumerate(node.items)
             }
-            for expr, desc in reversed(node.order_by):
+            keys = []
+            for expr, desc in node.order_by:
                 if isinstance(expr, Column) and expr.name not in ordered \
                         and expr.name in aliases:
                     expr = aliases[expr.name]
-                keys = _eval_cols(expr, ordered, ordered.nrow)
-                order = np.argsort(keys, kind="stable")
-                if desc:
-                    order = order[::-1]
-                ordered = ordered.subset(order)
-            return ordered
+                keys.append((_eval_cols(expr, ordered, ordered.nrow), desc))
+            return ordered.subset(_sort_order(keys, ordered.nrow))
         if isinstance(node, Project):
             frame = run(node.child)
             if node.star:
@@ -301,8 +266,8 @@ def run_query(query: Query, frames: dict[str, DataFrame],
               optimize: bool = True) -> DataFrame:
     """Plan + execute a parsed query over in-memory frames.
 
-    ``optimize=False`` executes the plain lowered plan — the planner
-    twin of the frozen eager evaluator, with no pushdown rewrites.
+    ``optimize=False`` executes the plain lowered plan, with no
+    pushdown rewrites.
     """
     tables = {scan.table for scan in plan_scans(lower(query))}
     for name in tables:

@@ -306,10 +306,9 @@ def _choose_join_strategies(root: PlanNode,
                             broadcast_bytes: float) -> None:
     """Annotate each join with broadcast-vs-repartition and build side.
 
-    Both strategies produce byte-identical output (pair order is
-    left-major either way); the annotation decides which side's hash
-    index is built — the map-side-combine-style broadcast when the
-    small side fits — and feeds the session's counters.
+    The annotations are shown by ``explain`` only; execution always
+    builds the right side's hash index, so they never change the
+    result or its cost.
     """
     stack = [root]
     while stack:

@@ -7,11 +7,10 @@ tree of logical operators::
                                    | [SortSource] -> Project -> [Distinct] )
           -> [Limit]
 
-The node order mirrors the frozen eager evaluator exactly — the planner
-is a *representation* change; semantics only move when the optimizer
-rewrites the tree (projection/predicate pushdown, join strategy), and
-those rewrites are proven result-identical by the randomized
-equivalence suite. Scans carry the two pushdown slots the optimizer
+The node order is SQL's clause order; the optimizer's rewrites
+(projection/predicate pushdown, join strategy) never change a result,
+which the equivalence suite checks against a row-at-a-time reference
+with rewrites on and off. Scans carry the two pushdown slots the optimizer
 fills in: ``columns`` (projection pruning — ``None`` = every column)
 and ``predicate`` (conjuncts applied at scan time, before the plan's
 residual ``Filter``).
@@ -78,10 +77,10 @@ class Scan:
 class Join:
     """Inner equi-join (``JOIN ... USING``) of ``left`` onto ``right``.
 
-    ``strategy``/``build_side`` are cost-model annotations: broadcast
-    hash joins build the small side's index, repartition joins keep the
-    legacy right-side build. Either way the output rows are identical
-    (left-major pair order); the choice only moves cost accounting.
+    ``strategy``/``build_side`` are annotations shown by ``explain``:
+    the optimizer's pick of join strategy and the side it would build.
+    Execution always builds the right side's hash index and probes
+    left-major, so they never change the result.
     """
 
     left: "PlanNode"

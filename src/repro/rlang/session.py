@@ -20,12 +20,12 @@ Every skipped chunk is accounted (``io.read.pfs.skipped_*`` via
 so the Fig. 9-style bytes-scanned reduction is measurable, and each
 query emits ``sql.parse/plan/prune/scan/exec`` spans.
 
-Twin-world discipline: ``engine="legacy"`` materializes every referenced
-table in full — the same header + chunk reads, in the same order, as the
-planner with ``pushdown=False`` — then runs the frozen
-:func:`~repro.rlang._legacy.legacy_sqldf`. Identical reads + identical
-row-cost charge = identical simulated timings by construction, which the
-session tests pin at 1e-9.
+Correctness is checked against oracles that share no code with the
+planner: the session tests compare results with numpy over the
+synthesized arrays and recompute every pruned chunk from the raw data,
+and the bench pins the ``pushdown=False`` full scan's simulated
+seconds, chunk count and bytes (the latter equal to the sum of every
+chunk's stored bytes in the scanned headers).
 
 Layering: storage is reached only through :mod:`repro.io` (the registry
 hands back a client; its planner does the accounting) and the format
@@ -53,7 +53,6 @@ from repro.io.plan import ScanPlan
 from repro.io.registry import StorageRegistry
 from repro.obs.metrics import metrics_of
 from repro.obs.trace import tracer_of
-from repro.rlang._legacy import legacy_sqldf
 from repro.rlang.exec import execute, frame_scan, plan_query
 from repro.rlang.frame import DataFrame
 from repro.rlang.optimizer import (
@@ -61,7 +60,7 @@ from repro.rlang.optimizer import (
     chunk_matches,
     scan_constraints,
 )
-from repro.rlang.plan import Join, PlanNode, Scan, lower, plan_scans
+from repro.rlang.plan import PlanNode, Scan, lower, plan_scans
 from repro.rlang.sqldf import SQLError, parse
 
 __all__ = ["ScincTable", "SQLSession"]
@@ -132,23 +131,18 @@ class ScanInfo:
 class SQLSession:
     """Queries over registered frames and scinc-backed tables.
 
-    ``pushdown`` toggles the optimizer rewrites (the perf knob);
-    ``engine`` selects ``"planner"`` or the frozen ``"legacy"``
-    evaluator (the correctness/timing twin). Both default to the
-    planner with pushdown on.
+    ``pushdown`` toggles the optimizer rewrites (the perf knob); with
+    it off every referenced scinc table is read in full, once.
     """
 
     def __init__(self, env, registry: StorageRegistry, node,
-                 pushdown: bool = True, engine: str = "planner",
+                 pushdown: bool = True,
                  broadcast_bytes: float = BROADCAST_BYTES,
                  track: str = "sql"):
-        if engine not in ("planner", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
         self.env = env
         self.registry = registry
         self.node = node
         self.pushdown = pushdown
-        self.engine = engine
         self.broadcast_bytes = broadcast_bytes
         self.track = track
         self.frames: dict[str, DataFrame] = {}
@@ -373,13 +367,10 @@ class SQLSession:
                             self.frames[scan.table].names)
                 node = plan_query(
                     query, schemas, estimate=self._estimate,
-                    optimize=(self.engine == "planner" and self.pushdown),
+                    optimize=self.pushdown,
                     broadcast_bytes=self.broadcast_bytes)
 
-            if self.engine == "legacy":
-                result, rows = yield from self._run_legacy(sql, raw_scans)
-            else:
-                result, rows = yield from self._run_planner(node)
+            result, rows = yield from self._run_planner(node)
 
             with tracer.span("sql.exec", cat="sql", track=self.track):
                 yield self.env.timeout(
@@ -421,8 +412,8 @@ class SQLSession:
             if scan.table in self.frames:
                 frame = self.frames[scan.table]
             else:
-                # identical unpushed scans of one table read once, like
-                # the legacy evaluator's per-table materialization
+                # identical unpushed scans of one table (a self-join)
+                # read once
                 key = (scan.table,
                        tuple(scan.columns) if scan.columns is not None
                        else None)
@@ -456,30 +447,3 @@ class SQLSession:
 
         result = execute(node, resolve)
         return result, rows
-
-    def _run_legacy(self, sql: str, raw_scans: list[Scan]):
-        """The frozen evaluator over fully materialized tables.
-
-        Reads every chunk of every selected variable of each referenced
-        scinc table, once, in scan order — exactly what the planner does
-        with ``pushdown=False`` — so the two engines are timing twins.
-        """
-        frames = dict(self.frames)
-        rows = 0
-        seen: set[str] = set()
-        for scan in raw_scans:
-            if scan.table in frames:
-                rows += frames[scan.table].nrow
-                continue
-            if scan.table in seen:
-                rows += frames[scan.table].nrow
-                continue
-            seen.add(scan.table)
-            info = ScanInfo(table=scan.table,
-                            columns=list(self.tables[scan.table].schema))
-            self.last_scan_info.append(info)
-            full = Scan(scan.table)  # no pushdown: all columns, chunks
-            frame = yield from self._materialize(full, info)
-            frames[scan.table] = frame
-            rows += frame.nrow
-        return legacy_sqldf(sql, frames), rows

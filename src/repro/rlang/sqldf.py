@@ -20,6 +20,8 @@ vectorised over NumPy columns; joins are hash equi-joins.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
@@ -419,6 +421,40 @@ def _like_to_mask(values: np.ndarray, pattern: str) -> np.ndarray:
         [bool(regex.match(str(v))) for v in values], dtype=bool)
 
 
+_OPERATORS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "%": operator.mod,
+}
+
+#: arithmetic takes numbers only: no string concatenation or repetition
+_ARITHMETIC = {"+", "-", "*", "/", "%", "SUM", "AVG"}
+
+
+def _type_name(values: np.ndarray) -> str:
+    if values.dtype.kind == "O" and len(values):
+        return type(values[0]).__name__  # str, or None from no rows
+    return values.dtype.name
+
+
+def _apply(op: str, func, *operands: np.ndarray):
+    """``func(*operands)``, with a type mismatch raised as SQLError
+    naming ``op`` (numpy and Python would raise TypeError, or silently
+    concatenate strings)."""
+    if op not in _ARITHMETIC or all(
+            v.dtype.kind in "biuf" for v in operands):
+        try:
+            return func(*operands)
+        except TypeError:
+            pass
+    types = " and ".join(_type_name(v) for v in operands)
+    raise SQLError(f"operator {op} cannot apply to {types}")
+
+
+_REDUCERS = {"SUM": np.sum, "AVG": np.mean, "MIN": np.min, "MAX": np.max}
+
+
 def _eval(expr: Expr, frame: DataFrame, n: int) -> np.ndarray:
     """Evaluate a non-aggregate expression to a length-n array."""
     if isinstance(expr, Literal):
@@ -431,7 +467,7 @@ def _eval(expr: Expr, frame: DataFrame, n: int) -> np.ndarray:
         value = _eval(expr.operand, frame, n)
         if expr.op == "NOT":
             return ~value.astype(bool)
-        return -value
+        return _apply("-", operator.neg, value)
     if isinstance(expr, InList):
         value = _eval(expr.expr, frame, n)
         mask = np.zeros(n, dtype=bool)
@@ -439,10 +475,10 @@ def _eval(expr: Expr, frame: DataFrame, n: int) -> np.ndarray:
             mask |= (value == option)
         return ~mask if expr.negated else mask
     if isinstance(expr, Between):
-        value = _eval(expr.expr, frame, n)
-        low = _eval(expr.low, frame, n)
-        high = _eval(expr.high, frame, n)
-        mask = (value >= low) & (value <= high)
+        mask = _apply(
+            "BETWEEN", lambda v, lo, hi: (v >= lo) & (v <= hi),
+            _eval(expr.expr, frame, n), _eval(expr.low, frame, n),
+            _eval(expr.high, frame, n))
         return ~mask if expr.negated else mask
     if isinstance(expr, Like):
         value = _eval(expr.expr, frame, n)
@@ -451,34 +487,11 @@ def _eval(expr: Expr, frame: DataFrame, n: int) -> np.ndarray:
     if isinstance(expr, BinOp):
         left = _eval(expr.left, frame, n)
         right = _eval(expr.right, frame, n)
-        op = expr.op
-        if op == "AND":
+        if expr.op == "AND":
             return left.astype(bool) & right.astype(bool)
-        if op == "OR":
+        if expr.op == "OR":
             return left.astype(bool) | right.astype(bool)
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return left / right
-        if op == "%":
-            return left % right
-        raise SQLError(f"unknown operator {op!r}")  # pragma: no cover
+        return _apply(expr.op, _OPERATORS[expr.op], left, right)
     if isinstance(expr, Aggregate):
         raise SQLError("aggregate used outside an aggregating context")
     raise SQLError(f"cannot evaluate {expr!r}")  # pragma: no cover
@@ -490,19 +503,11 @@ def _eval_aggregate(expr: Expr, frame: DataFrame, n: int) -> Any:
         if expr.func == "COUNT" and expr.arg is None:
             return n
         values = _eval(expr.arg, frame, n)
-        if n == 0:
-            return 0 if expr.func == "COUNT" else float("nan")
         if expr.func == "COUNT":
             return int(len(values))
-        if expr.func == "SUM":
-            return values.sum()
-        if expr.func == "AVG":
-            return values.mean()
-        if expr.func == "MIN":
-            return values.min()
-        if expr.func == "MAX":
-            return values.max()
-        raise SQLError(f"unknown aggregate {expr.func}")  # pragma: no cover
+        # no rows: NaN, after the same operand type check
+        return _apply(expr.func, _REDUCERS[expr.func] if n
+                      else lambda _values: float("nan"), values)
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Column):
@@ -513,7 +518,7 @@ def _eval_aggregate(expr: Expr, frame: DataFrame, n: int) -> Any:
         return values[0]
     if isinstance(expr, UnaryOp):
         value = _eval_aggregate(expr.operand, frame, n)
-        return (not value) if expr.op == "NOT" else -value
+        return _eval(UnaryOp(expr.op, Literal(value)), DataFrame(), 1)[0]
     if isinstance(expr, BinOp):
         left = _eval_aggregate(expr.left, frame, n)
         right = _eval_aggregate(expr.right, frame, n)
@@ -534,13 +539,24 @@ def _item_name(item: SelectItem, index: int) -> str:
     return f"col{index}"
 
 
-def _project_plain(query: Query, frame: DataFrame) -> DataFrame:
-    if query.star:
-        return frame
-    out = DataFrame()
-    for i, item in enumerate(query.items):
-        out[_item_name(item, i)] = _eval(item.expr, frame, frame.nrow)
-    return out
+#: stands in for NaN inside row keys: NaN != NaN, and ``hash(nan)``
+#: follows object identity, so raw NaN keys would never meet
+_NAN_KEY = object()
+
+
+def _row_keys(frame: DataFrame, names: list[str]):
+    """Iterate one hashable key per row over ``names``, NaN as
+    ``_NAN_KEY``."""
+    if not names:
+        return itertools.repeat((), frame.nrow)
+    columns = []
+    for name in names:
+        values = frame[name]
+        keys = values.tolist()
+        if values.dtype.kind in "fcO":
+            keys = [_NAN_KEY if v != v else v for v in keys]
+        columns.append(keys)
+    return zip(*columns)
 
 
 def _hash_join(left: DataFrame, right: DataFrame,
@@ -549,7 +565,9 @@ def _hash_join(left: DataFrame, right: DataFrame,
 
     Result columns: the key columns once, then the remaining columns of
     each side; non-key name collisions are an error (no qualifiers in
-    this dialect).
+    this dialect). The right side builds the hash index and the left
+    side probes it, so pairs come out left-major, right rows in input
+    order within a key. A NaN key matches nothing.
     """
     for key in using:
         if key not in left or key not in right:
@@ -562,79 +580,42 @@ def _hash_join(left: DataFrame, right: DataFrame,
             f"ambiguous non-key columns in join: {sorted(clash)}")
 
     index: dict[tuple, list[int]] = {}
-    right_keys = [right[k] for k in using]
-    for j in range(right.nrow):
-        index.setdefault(
-            tuple(col[j] for col in right_keys), []).append(j)
+    for j, key in enumerate(_row_keys(right, using)):
+        if _NAN_KEY not in key:
+            index.setdefault(key, []).append(j)
+    pairs: list[tuple[int, int]] = []
+    for i, key in enumerate(_row_keys(left, using)):
+        pairs.extend((i, j) for j in index.get(key, ()))
 
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    left_keys = [left[k] for k in using]
-    for i in range(left.nrow):
-        for j in index.get(tuple(col[i] for col in left_keys), ()):
-            left_rows.append(i)
-            right_rows.append(j)
-
-    li = np.array(left_rows, dtype=np.int64)
-    ri = np.array(right_rows, dtype=np.int64)
+    li = np.array([p[0] for p in pairs], dtype=np.int64)
+    ri = np.array([p[1] for p in pairs], dtype=np.int64)
     out = DataFrame()
-    for key in using:
-        out[key] = left[key][li] if len(li) else left[key][:0]
-    for name in left_rest:
-        out[name] = left[name][li] if len(li) else left[name][:0]
+    for name in using + left_rest:
+        out[name] = left[name][li]
     for name in right_rest:
-        out[name] = right[name][ri] if len(ri) else right[name][:0]
+        out[name] = right[name][ri]
     return out
 
 
 def _distinct_rows(frame: DataFrame) -> DataFrame:
-    """Drop duplicate rows, keeping the first occurrence."""
+    """Drop duplicate rows, keeping the first occurrence; all NaN
+    values of a column count as one value."""
     seen: set[tuple] = set()
     keep: list[int] = []
-    columns = [frame[name] for name in frame.names]
-    for i in range(frame.nrow):
-        row = tuple(col[i] for col in columns)
+    for i, row in enumerate(_row_keys(frame, frame.names)):
         if row not in seen:
             seen.add(row)
             keep.append(i)
     return frame.subset(np.array(keep, dtype=np.int64))
 
 
-def _group_frames(frame: DataFrame,
-                  keys: list[str]) -> list[tuple[tuple, DataFrame]]:
-    if frame.nrow == 0:
-        return []
-    columns = [frame[k] for k in keys]
-    seen: dict[tuple, list[int]] = {}
-    for i in range(frame.nrow):
-        key = tuple(col[i] for col in columns)
-        seen.setdefault(key, []).append(i)
-    return [(key, frame.subset(np.array(rows)))
-            for key, rows in seen.items()]
-
-
-def _project_grouped(query: Query, frame: DataFrame) -> DataFrame:
-    if query.star:
-        raise SQLError("SELECT * cannot be combined with aggregation")
-    groups = _group_frames(frame, query.group_by) if query.group_by \
-        else [((), frame)]
-    if query.having is not None:
-        groups = [
-            (key, grp) for key, grp in groups
-            if bool(_eval_aggregate(query.having, grp, grp.nrow))
-        ]
-    rows: list[list[Any]] = []
-    names = [_item_name(item, i) for i, item in enumerate(query.items)]
-    for _key, grp in groups:
-        rows.append([
-            _eval_aggregate(item.expr, grp, grp.nrow)
-            for item in query.items
-        ])
-    out = DataFrame()
-    for j, name in enumerate(names):
-        out[name] = np.array([row[j] for row in rows]) if rows \
-            else np.array([])
-    return out
+def _group_frames(frame: DataFrame, keys: list[str]) -> list[DataFrame]:
+    """Rows grouped by ``keys`` in first-occurrence order; all NaN
+    values of a key column form one group."""
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(_row_keys(frame, keys)):
+        groups.setdefault(key, []).append(i)
+    return [frame.subset(np.array(rows)) for rows in groups.values()]
 
 
 def parse(sql: str) -> Query:
@@ -646,13 +627,13 @@ def sqldf(sql: str, frames: dict[str, DataFrame],
           optimize: bool = True) -> DataFrame:
     """Run ``sql`` against the named data frames; returns a DataFrame.
 
-    Since ISSUE 9 this routes through the logical planner
-    (:mod:`repro.rlang.plan` / :mod:`repro.rlang.exec`):
-    lower the AST, run projection/predicate pushdown when ``optimize``
-    is on, and execute with the same vectorized kernels as before. The
-    pre-planner eager evaluator is frozen verbatim as
-    :func:`repro.rlang._legacy.legacy_sqldf` and the randomized
-    equivalence suite pins all three paths to identical frames.
+    The query lowers through the logical planner
+    (:mod:`repro.rlang.plan` / :mod:`repro.rlang.exec`), runs
+    projection/predicate pushdown when ``optimize`` is on, and executes
+    with the vectorized kernels above. ``optimize`` never changes the
+    result: the equivalence suite checks both settings against a
+    row-at-a-time Python reference that shares no code with this
+    package.
     """
     from repro.rlang.exec import run_query  # lazy: avoids import cycle
 

@@ -20,6 +20,7 @@ from repro.bench.harness import (
     shuffle_overlap_rows,
     write_path_rows,
 )
+from repro.bench.sqlbench import MIN_BYTES_REDUCTION, sql_pushdown_result
 
 #: fig5 totals at sizes=(3,), captured before the pipelined data path
 GOLDEN_FIG5 = {
@@ -71,6 +72,15 @@ GOLDEN_WRITE = {
     ("legacy stripe pushes", "pfs://"): 7.327828367708432,
     ("windowed stripe pushes", "pfs://"): 7.327828367708432,
     ("windowed + write-behind", "pfs://"): 3.814728367708541,
+}
+
+#: SQL bench world ((8, 48, 48), 2 timesteps): {config: (sim seconds,
+#: bytes scanned, chunks read, chunks pruned, variables pruned)}. The
+#: full scan reads every chunk of all 23 variables of one 8-chunk file,
+#: once per query.
+GOLDEN_SQL = {
+    "planner": (0.07174930750000005, 1_030_412, 368, 0, 0),
+    "planner+pushdown": (0.00832264125, 15_625, 8, 8, 44),
 }
 
 REL = 1e-9
@@ -134,6 +144,22 @@ def test_write_path_goldens_and_ordering():
         <= got[("packet + parallel blocks", "hdfs://")][2]
     assert got[("windowed + write-behind", "pfs://")][2] \
         < got[("legacy stripe pushes", "pfs://")][2]
+
+
+def test_sql_reproduces_golden_full_scan_and_pushdown():
+    doc = sql_pushdown_result()
+    for name, (seconds, nbytes, read, pruned, variables) in \
+            GOLDEN_SQL.items():
+        entry = doc["configs"][name]
+        assert abs(entry["sim_seconds"] - seconds) < 1e-9, name
+        assert entry["bytes_scanned"] == nbytes, name
+        assert entry["chunks_read"] == read, name
+        assert entry["chunks_pruned"] == pruned, name
+        assert entry["variables_pruned"] == variables, name
+    assert doc["configs"]["planner"]["bytes_scanned"] == \
+        doc["full_scan_bytes"]
+    assert doc["identical_results"]
+    assert doc["bytes_reduction"] >= MIN_BYTES_REDUCTION
 
 
 def test_pipelined_datapath_beats_serial():

@@ -100,14 +100,6 @@ RULES = (
         "banned_prefixes": ("repro.sim", "repro.hdfs", "repro.pfs",
                             "repro.core", "repro.mapreduce"),
     },
-    {
-        "label": "frozen sqldf evaluator",
-        # only the twin-world tests (outside src) and the bench may
-        # resurrect the eager evaluator
-        "allowed": ("repro.rlang", "repro.bench"),
-        "modules": {"repro.rlang._legacy"},
-        "names": {"legacy_sqldf"},
-    },
 )
 
 
@@ -281,25 +273,6 @@ def test_lint_rlang_storage_isolation():
     # the rule constrains rlang only
     assert not violations_in_source(
         "repro.workloads.pipeline", "from repro.core import SciDP\n")
-
-
-def test_lint_frozen_sqldf_evaluator_quarantined():
-    """Only rlang itself and the bench may import the frozen eager
-    evaluator."""
-    assert violations_in_source(
-        "repro.workloads.offender",
-        "from repro.rlang._legacy import legacy_sqldf\n")
-    assert violations_in_source(
-        "repro.core.offender", "import repro.rlang._legacy\n")
-    assert violations_in_source(
-        "repro.mapreduce.offender",
-        "from repro.rlang import legacy_sqldf\n")
-    assert not violations_in_source(
-        "repro.rlang.session",
-        "from repro.rlang._legacy import legacy_sqldf\n")
-    assert not violations_in_source(
-        "repro.bench.sqlbench",
-        "from repro.rlang._legacy import legacy_sqldf\n")
 
 
 def test_lint_campaign_workspace_quarantined():

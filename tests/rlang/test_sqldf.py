@@ -154,6 +154,26 @@ def test_malformed_queries_raise(bad, frames):
         sqldf(bad, frames)
 
 
+@pytest.mark.parametrize("sql, op", [
+    ("SELECT x FROM t WHERE grp > 1", ">"),
+    ("SELECT grp + 1 AS g1 FROM t", "+"),
+    ("SELECT - 'a' AS neg FROM t", "-"),
+    ("SELECT x FROM t WHERE grp BETWEEN 1 AND 3", "BETWEEN"),
+    ("SELECT AVG(grp) AS m FROM t", "AVG"),
+    ("SELECT SUM(grp) AS s FROM t", "SUM"),
+    ("SELECT SUM(grp) AS s FROM t WHERE x > 99", "SUM"),
+    ("SELECT grp, MIN(grp) - 1 AS m FROM t GROUP BY grp", "-"),
+])
+def test_type_mismatches_raise_sqlerror_naming_the_operator(sql, op,
+                                                            frames):
+    """Strings in arithmetic, ordering comparisons with numbers and
+    SUM/AVG are query errors, not TypeError or string concatenation."""
+    for optimize in (True, False):
+        with pytest.raises(SQLError) as exc:
+            sqldf(sql, frames, optimize=optimize)
+        assert f"operator {op} " in str(exc.value)
+
+
 def test_aggregate_order_by_must_use_output_column(frames):
     with pytest.raises(SQLError):
         sqldf("SELECT grp, SUM(y) AS s FROM t GROUP BY grp "

@@ -2,15 +2,17 @@
 
 Random small frames and random query fragments are evaluated both by the
 vectorised engine and by naive row-at-a-time Python; any disagreement is
-a bug in one of them.
+a bug in one of them. A token fuzz closes the file: every query, valid
+or not, either runs or raises :class:`SQLError`.
 """
 
+import warnings
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rlang import data_frame, sqldf
+from repro.rlang import SQLError, data_frame, sqldf
 
 
 @st.composite
@@ -109,3 +111,87 @@ def test_join_matches_reference(left_cols, right_cols):
     got = list(zip(out["g"].tolist(), out["x"].tolist(),
                    out["y"].tolist()))
     assert got == expect
+
+
+# ------------------------------------------------------------ token fuzz
+
+_NAN = float("nan")
+_FUZZ_FRAMES = {
+    "t": data_frame(x=[1, 2, 3, 2], y=[0.5, _NAN, -0.0, 2.0],
+                    g=["a", "b", "a", "c"], k=[0, 1, 1, 2]),
+    "u": data_frame(k=[0.0, 1.0, _NAN], z=[1.0, 2.0, 3.0]),
+}
+_EMPTY_FRAMES = {
+    "t": data_frame(x=np.array([], dtype=np.int64), y=np.array([]),
+                    g=np.array([], dtype=object),
+                    k=np.array([], dtype=np.int64)),
+    "u": _FUZZ_FRAMES["u"],
+}
+_OPERANDS = ["x", "y", "g", "k", "z", "1", "0", "2.5", "'a'", "'b%'"]
+_TOKENS = _OPERANDS + [
+    "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT",
+    "AS", "AND", "OR", "NOT", "ASC", "DESC", "IN", "DISTINCT", "BETWEEN",
+    "LIKE", "JOIN", "USING", "t", "u", "COUNT", "SUM", "AVG", "MIN", "MAX",
+    "(", ")", ",", "*", "+", "-", "/", "%", "=", "!=", "<>", "<", "<=",
+    ">", ">=",
+]
+
+#: expressions mixing strings, numbers, NaN columns and aggregates
+_exprs = st.recursive(
+    st.sampled_from(_OPERANDS),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["-", "NOT "]), inner).map("".join),
+        st.tuples(st.sampled_from(["COUNT", "SUM", "AVG", "MIN", "MAX"]),
+                  inner).map(lambda p: f"{p[0]}({p[1]})"),
+        st.tuples(inner, st.sampled_from(
+            ["+", "-", "*", "/", "%", "=", "!=", "<", ">=", "AND", "OR"]),
+            inner).map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        st.tuples(inner, inner, inner).map(
+            lambda p: f"{p[0]} BETWEEN {p[1]} AND {p[2]}"),
+        inner.map(lambda e: f"{e} IN (1, 'a')"),
+        inner.map(lambda e: f"{e} LIKE 'a%'"),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _shaped_queries(draw):
+    sql = f"SELECT {draw(st.sampled_from(['', 'DISTINCT ']))}" + \
+        ", ".join(draw(st.lists(_exprs, min_size=1, max_size=3))) + \
+        " FROM t"
+    clauses = [
+        " JOIN u USING (k)",
+        " WHERE " + draw(_exprs),
+        " GROUP BY " + draw(st.sampled_from(["x", "y", "g", "k"])),
+        " HAVING " + draw(_exprs),
+        " ORDER BY " + draw(_exprs)
+        + draw(st.sampled_from(["", " DESC"])) + ", g",
+        f" LIMIT {draw(st.integers(0, 3))}",
+    ]
+    for clause in clauses:
+        if draw(st.booleans()):
+            sql += clause
+    return sql
+
+
+_token_streams = st.lists(st.sampled_from(_TOKENS), max_size=14).map(
+    lambda tokens: " ".join(["SELECT", *tokens]))
+
+
+def _runs_or_raises_sqlerror(sql):
+    for frames in (_FUZZ_FRAMES, _EMPTY_FRAMES):
+        for optimize in (True, False):
+            with warnings.catch_warnings():
+                # division by zero and NaN arithmetic warn, not fail
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    sqldf(sql, frames, optimize=optimize)
+                except SQLError:
+                    pass
+
+
+@given(st.one_of(_shaped_queries(), _token_streams))
+@settings(max_examples=300, deadline=None)
+def test_every_query_runs_or_raises_sqlerror(sql):
+    _runs_or_raises_sqlerror(sql)
