@@ -18,8 +18,8 @@ import random
 import time
 
 from repro.bench.harness import shuffle_overlap_rows
-from repro.mapreduce._legacy import legacy_hash_partition
 from repro.mapreduce.shuffle import hash_partition
+from tests.mapreduce.oracles import partition
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / \
     "bench_results"
@@ -57,8 +57,9 @@ def test_shuffle_overlap_trajectory(benchmark, record_table):
 
 
 def test_hash_partition_vectorized_fold(benchmark):
-    """The vectorized 31-fold is bit-identical to the scalar reference
-    and worth the numpy round trip on shuffle-sized keys."""
+    """The vectorized 31-fold is bit-identical to the exact big-int
+    reference fold and worth the numpy round trip on shuffle-sized
+    keys."""
     rng = random.Random(20260806)
     keys = [
         bytes(rng.randrange(256)
@@ -66,14 +67,13 @@ def test_hash_partition_vectorized_fold(benchmark):
         for _ in range(400)
     ]
     for key in keys:
-        assert hash_partition(key, 1 << 20) == \
-            legacy_hash_partition(key, 1 << 20)
+        assert hash_partition(key, 1 << 20) == partition(key, 1 << 20)
 
     benchmark.pedantic(
         lambda: [hash_partition(k, 1 << 20) for k in keys],
         rounds=3, iterations=1)
 
     t0 = time.perf_counter()
-    [legacy_hash_partition(k, 1 << 20) for k in keys]
-    legacy_ms = (time.perf_counter() - t0) * 1e3
-    print(f"\nscalar byte-fold over {len(keys)} keys: {legacy_ms:.1f} ms")
+    [partition(k, 1 << 20) for k in keys]
+    scalar_ms = (time.perf_counter() - t0) * 1e3
+    print(f"\nscalar big-int fold over {len(keys)} keys: {scalar_ms:.1f} ms")

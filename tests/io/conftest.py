@@ -1,9 +1,5 @@
-"""Shared fixtures for the unified data plane tests.
-
-The equivalence tests need *twin worlds*: two identically-constructed
-simulations, one driving the legacy frozen read path, one the new
-planner, whose event sequences must produce bit-identical timings.
-"""
+"""Shared fixtures for the unified data plane tests: small PFS and HDFS
+clusters, a DES driver and seeded payloads."""
 
 import numpy as np
 import pytest

@@ -1,224 +1,135 @@
-"""ReadPlanner vs the frozen legacy read paths.
+"""The read path against independent oracles.
 
-Twin-world equivalence: identical simulations drive the same randomized
-workload through the new planner and through the pre-refactor copies
-preserved in :mod:`repro.io._legacy`. The planner must reproduce the
-legacy event sequences exactly — simulated completion times match to
-1e-9 and the byte streams are identical.
+Every byte a read returns must be the stored payload's bytes at the
+requested offsets, whatever the window, granularity or cache: the
+oracle is a plain slice of the ``payload`` the world stored. The pure
+planning helpers are checked against their definitions — ``chop_range``
+tiles its range in ``granularity`` pieces, ``coalesce_extents`` returns
+maximal, sorted, non-adjacent runs per device covering exactly the
+input bytes.
+
+The worlds (seeds, windows, granularities) are those of
+``test_dataplane_pins.py``, which pins their simulated clocks; test
+names keep their historical ``*_matches_legacy`` ids.
 """
 
 import random
 
 import pytest
 
-from repro.io._legacy import (
-    LegacyRangeReader,
-    legacy_chop,
-    legacy_coalesce_extents,
-    legacy_read_extents,
-)
-from repro.io.planner import ReadPlanner, chop_range, coalesce_extents
-from repro.sim.cache import ReadAheadCache
+from repro.io.planner import chop_range, coalesce_extents
 
-from tests.io.conftest import make_pfs_world, payload, run
+from tests.io.conftest import make_pfs_world, payload
+from tests.io.test_dataplane_pins import (
+    cached_fetch_range_world,
+    concurrent_read_extents_world,
+    fetch_range_world,
+    random_extent_workload,
+    read_extents_world,
+)
+
+
+def expected_bytes(stored, extents):
+    """The oracle: stored bytes of each extent, in file-offset order."""
+    return b"".join(stored[e.file_offset:e.file_offset + e.length]
+                    for e in sorted(extents, key=lambda e: e.file_offset))
 
 
 # ------------------------------------------------------------ pure helpers
 @pytest.mark.parametrize("seed", range(5))
 def test_chop_matches_legacy(seed):
+    """Pieces tile ``[offset, offset + length)`` in order; all but the
+    last are exactly ``granularity`` bytes; ``None`` keeps it whole."""
     rng = random.Random(seed)
     for _ in range(50):
         offset = rng.randrange(0, 10_000)
         length = rng.randrange(1, 5_000)
         granularity = rng.choice([None, 1, 7, 64, 1024])
-        assert chop_range(offset, length, granularity) \
-            == legacy_chop(offset, length, granularity)
+        pieces = chop_range(offset, length, granularity)
+        if granularity is None:
+            assert pieces == [(offset, length)]
+            continue
+        pos = offset
+        for pos_i, n in pieces:
+            assert pos_i == pos
+            pos += n
+        assert pos == offset + length
+        assert all(n == granularity for _pos, n in pieces[:-1])
+        assert 1 <= pieces[-1][1] <= granularity
+        assert len(pieces) == -(-length // granularity)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_coalesce_matches_legacy(seed):
+    """Per device: runs sorted by object offset, never touching (each is
+    maximal), covering exactly the input extents' object bytes."""
     rng = random.Random(100 + seed)
     _env, pfs, _client = make_pfs_world(stripe_size=50, stripe_count=4)
     inode = pfs.store_file("/f", payload(5_000, seed=seed))
-    extents = []
-    for _ in range(30):
-        off = rng.randrange(0, 4_900)
-        extents.extend(inode.layout.map_range(
-            off, rng.randrange(1, 5_000 - off)))
-    rng.shuffle(extents)
-    assert coalesce_extents(list(extents)) \
-        == legacy_coalesce_extents(list(extents))
+    extents = random_extent_workload(rng, inode, 5_000)
+    per_device = coalesce_extents(list(extents))
+
+    assert set(per_device) == {e.ost_index for e in extents}
+    for device, runs in per_device.items():
+        assert all(run.ost_index == device for run in runs)
+        for prev, run in zip(runs, runs[1:]):
+            assert prev.object_offset + prev.length < run.object_offset
+        covered = {b for run in runs
+                   for b in range(run.object_offset,
+                                  run.object_offset + run.length)}
+        wanted = {b for e in extents if e.ost_index == device
+                  for b in range(e.object_offset,
+                                 e.object_offset + e.length)}
+        assert covered == wanted
+        assert sum(run.length for run in runs) == len(wanted)
 
 
-# ----------------------------------------------------- read_extents timing
-def random_extent_workload(rng, inode, size):
-    """A shuffled list of stripe-mapped extents over disjoint subranges.
-
-    Callers (MPI-IO aggregation domains, virtual-block reads) only ever
-    pass non-overlapping ranges, so the workload honours that invariant.
-    """
-    cuts = sorted(rng.sample(range(1, size), rng.randrange(2, 12)))
-    bounds = list(zip([0, *cuts], [*cuts, size]))
-    extents = []
-    for lo, hi in rng.sample(bounds, rng.randrange(1, len(bounds) + 1)):
-        extents.extend(inode.layout.map_range(lo, hi - lo))
-    rng.shuffle(extents)
-    return extents
-
-
+# ----------------------------------------------------------- read_extents
 @pytest.mark.parametrize("seed", [1, 7, 42, 20180710])
 @pytest.mark.parametrize("window", [None, 0, 1, 2, 3])
 def test_read_extents_matches_legacy(seed, window):
-    """New PFSClient.read_extents ≡ frozen legacy copy: bytes + clock."""
-    size = 3_000
-    rng = random.Random(seed)
-    ext_template = None
-
-    def drive(use_legacy):
-        nonlocal ext_template
-        env, pfs, client = make_pfs_world(stripe_size=64, stripe_count=4)
-        inode = pfs.store_file("/f", payload(size, seed=seed))
-        if ext_template is None:
-            ext_template = random_extent_workload(rng, inode, size)
-        extents = list(ext_template)
-        if use_legacy:
-            data = run(env, legacy_read_extents(
-                client, inode, extents, max_inflight=window))
-        else:
-            data = run(env, client.read_extents(
-                inode, extents, max_inflight=window))
-        return data, env.now
-
-    old_data, old_now = drive(use_legacy=True)
-    new_data, new_now = drive(use_legacy=False)
-    assert new_data == old_data
-    assert new_now == pytest.approx(old_now, abs=1e-9)
+    """``PFSClient.read_extents`` returns the stored bytes of every
+    requested extent, ordered by file offset, at any window."""
+    _now, data, stored, extents = read_extents_world(seed, window)
+    assert data == expected_bytes(stored, extents)
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_concurrent_read_extents_matches_legacy(seed):
-    """Several overlapping read_extents calls racing on the same OSTs."""
-    size = 2_000
-    rng = random.Random(seed)
-    workloads = None
-
-    def drive(use_legacy):
-        nonlocal workloads
-        env, pfs, client = make_pfs_world(stripe_size=50, stripe_count=4)
-        inode = pfs.store_file("/f", payload(size, seed=seed))
-        if workloads is None:
-            workloads = [
-                (random_extent_workload(rng, inode, size),
-                 rng.choice([None, 0, 1, 2]))
-                for _ in range(4)
-            ]
-        finishes = []
-
-        def one(extents, window):
-            if use_legacy:
-                data = yield env.process(legacy_read_extents(
-                    client, inode, list(extents), max_inflight=window))
-            else:
-                data = yield env.process(client.read_extents(
-                    inode, list(extents), max_inflight=window))
-            finishes.append((env.now, len(data)))
-
-        for extents, window in workloads:
-            env.process(one(extents, window))
-        env.run()
-        return finishes
-
-    old = drive(use_legacy=True)
-    new = drive(use_legacy=False)
-    assert len(new) == len(old)
-    for (t_new, n_new), (t_old, n_old) in zip(new, old):
-        assert n_new == n_old
-        assert t_new == pytest.approx(t_old, abs=1e-9)
+    """Racing calls on the same OSTs each get exactly their own bytes."""
+    finishes, stored, workloads = concurrent_read_extents_world(seed)
+    assert sorted(i for i, _t, _data in finishes) == \
+        list(range(len(workloads)))
+    for index, _t, data in finishes:
+        extents, _window = workloads[index]
+        assert data == expected_bytes(stored, extents)
 
 
-# ------------------------------------------------------ fetch_range timing
+# ------------------------------------------------------------ fetch_range
 @pytest.mark.parametrize("seed", [2, 13, 99])
 @pytest.mark.parametrize("granularity,window", [
     (None, 1), (64, 1), (64, 3), (64, 0), (200, 2),
 ])
 def test_fetch_range_matches_legacy(seed, granularity, window):
-    """planner.fetch_range ≡ frozen PFSReader chop/fetch machinery."""
-    size = 1_500
-    rng = random.Random(seed)
-    ranges = [(rng.randrange(0, size - 1),) for _ in range(5)]
-    ranges = [(off, rng.randrange(1, size - off)) for (off,) in ranges]
-
-    def drive(use_legacy):
-        env, pfs, client = make_pfs_world(stripe_size=64, stripe_count=4)
-        pfs.store_file("/f", payload(size, seed=seed))
-        if use_legacy:
-            reader = LegacyRangeReader(
-                client, granularity=granularity,
-                request_overhead=0.0008, max_inflight=window)
-            fetchers = [reader.fetch_range("/f", off, n)
-                        for off, n in ranges]
-        else:
-            planner = ReadPlanner(
-                env, scheme="scidp", granularity=granularity,
-                request_overhead=0.0008, max_inflight=window)
-            fetch = lambda pos, n: client.read("/f", pos, n)  # noqa: E731
-            fetchers = [planner.fetch_range("/f", off, n, fetch)
-                        for off, n in ranges]
-        outs = []
-        for gen in fetchers:
-            outs.append(run(env, gen))
-        return outs, env.now
-
-    old_outs, old_now = drive(use_legacy=True)
-    new_outs, new_now = drive(use_legacy=False)
-    assert new_outs == old_outs
-    assert new_now == pytest.approx(old_now, abs=1e-9)
+    """``ReadPlanner.fetch_range`` returns the stored range, whole or
+    chopped, serial or windowed."""
+    _now, outs, stored, ranges = fetch_range_world(
+        seed, granularity, window)
+    assert outs == [stored[off:off + n] for off, n in ranges]
 
 
 @pytest.mark.parametrize("window", [1, 2])
 def test_fetch_range_with_cache_matches_legacy(window):
-    """Join-in-flight cache protocol: concurrent identical ranges share
-    one fetch in both implementations, with identical timing."""
-    size = 1_000
-
-    def drive(use_legacy):
-        env, pfs, client = make_pfs_world(stripe_size=64, stripe_count=4)
-        pfs.store_file("/f", payload(size, seed=5))
-        cache = ReadAheadCache(env, capacity_bytes=1 << 20)
-        if use_legacy:
-            reader = LegacyRangeReader(
-                client, granularity=128, request_overhead=0.0008,
-                max_inflight=window, cache=cache)
-            make = reader.fetch_range
-        else:
-            planner = ReadPlanner(
-                env, scheme="scidp", granularity=128,
-                request_overhead=0.0008, max_inflight=window, cache=cache)
-            make = lambda path, off, n: planner.fetch_range(  # noqa: E731
-                path, off, n, lambda pos, m: client.read(path, pos, m))
-        finishes = []
-
-        def one(off, n):
-            data = yield env.process(make("/f", off, n))
-            finishes.append((env.now, len(data)))
-
-        # Two racing identical reads (join-in-flight), then a re-read
-        # after completion (cache hit), plus a disjoint range.
-        env.process(one(0, 512))
-        env.process(one(0, 512))
-        env.process(one(512, 488))
-
-        def late():
-            yield env.timeout(10.0)
-            yield env.process(one(0, 512))
-
-        env.process(late())
-        env.run()
-        return finishes, cache.stats.hits, cache.stats.overlap_hits
-
-    old, old_hits, old_overlaps = drive(use_legacy=True)
-    new, new_hits, new_overlaps = drive(use_legacy=False)
-    assert [(n, round(t, 9)) for t, n in new] \
-        == [(n, round(t, 9)) for t, n in old]
-    assert new_hits == old_hits
-    assert new_overlaps == old_overlaps
+    """Join-in-flight: a racing duplicate read and a later re-read are
+    served from the cache — every distinct piece crosses the PFS exactly
+    once — and every read still returns the stored bytes."""
+    finishes, stats, fetched, stored = cached_fetch_range_world(window)
+    assert len(finishes) == 4
+    for _t, off, data in finishes:
+        n = 512 if off == 0 else 488
+        assert data == stored[off:off + n]
+    distinct = chop_range(0, 512, 128) + chop_range(512, 488, 128)
+    assert sorted(fetched) == sorted(distinct)
+    # the duplicate and the re-read each avoided one fetch per piece
+    assert stats.hits + stats.overlap_hits == 2 * len(chop_range(0, 512, 128))
+    assert stats.misses == len(distinct)

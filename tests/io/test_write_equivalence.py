@@ -1,104 +1,70 @@
-"""Production writers vs the frozen legacy write paths.
+"""The write path against independent oracles.
 
-The write-side twin of ``test_planner_equivalence``: at default knobs
-(no packet pipelining, serial blocks, whole-extent stripe pushes) the
-:class:`~repro.io.write.WritePlanner`-backed writers must reproduce the
-pre-refactor event sequences exactly — simulated completion times match
-to 1e-9, replica placements match, and the stored bytes are identical.
-Non-default knobs are covered separately: they are behaviour changes,
-gated by the write bench and its perf-smoke goldens.
+What a writer stores must read back as the payload it was handed: on
+every HDFS replica of every block, in the PFS file at the write offset
+(the bytes around it untouched), and in the collective file after
+``write_at_all`` overlays each rank's request on the base file. HDFS
+byte conservation: the datanodes together hold ``len(data) x
+replication`` bytes.
+
+The default-knob worlds are those of ``test_dataplane_pins.py``, which
+pins their simulated clocks and replica placements; test names keep
+their historical ``*_matches_legacy`` ids. The non-default knobs are
+checked against the default path below.
 """
-
-import random
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.hdfs import HDFS
-from repro.io._legacy import (
-    legacy_hdfs_write,
-    legacy_pfs_write,
-    legacy_write_at_all,
+from tests.io.conftest import make_pfs_world, payload, run
+from tests.io.test_dataplane_pins import (
+    concurrent_hdfs_writes_world,
+    hdfs_write_world,
+    make_hdfs_world,
+    pfs_create_world,
+    pfs_write_world,
+    write_at_all_world,
 )
-from repro.pfs import PFS, PFSClient, StripeLayout
-from repro.pfs.mpiio import MPIFile
-from repro.sim import Environment
-
-from tests.io.conftest import make_pfs_world, payload, run, small_spec
 
 
-def make_hdfs_world(replication=3, block_size=100, n_nodes=5):
-    """Writer node + datanodes; returns (env, hdfs, client)."""
-    env = Environment()
-    cluster = Cluster(env)
-    nodes = [cluster.add_node(f"n{i}", small_spec(), role="compute")
-             for i in range(n_nodes)]
-    hdfs = HDFS(env, cluster.network, block_size=block_size,
-                replication=replication)
-    for node in nodes:
-        hdfs.add_datanode(node)
-    return env, hdfs, hdfs.client(nodes[0])
+def assert_replicas_hold(hdfs, path, data, replication):
+    """Every replica of every block of ``path`` holds its payload slice,
+    in file order, on ``replication`` distinct datanodes."""
+    pos = 0
+    for block in hdfs.namenode.get_block_locations(path):
+        chunk = data[pos:pos + block.length]
+        assert len(set(block.locations)) == len(block.locations) \
+            == replication
+        for name in block.locations:
+            assert hdfs.datanode(name).read_sync(block.block_id) == chunk
+        pos += block.length
+    assert pos == len(data)
 
 
 # ------------------------------------------------------------- HDFS writes
 @pytest.mark.parametrize("replication", [1, 2, 3])
 @pytest.mark.parametrize("n_bytes", [1, 100, 350, 730])
 def test_hdfs_write_matches_legacy(replication, n_bytes):
-    """Default-knob DFSClient.write ≡ frozen sequential store-and-forward:
-    clock, replica placements, and stored bytes."""
-    data = payload(n_bytes, seed=n_bytes)
-
-    def drive(use_legacy):
-        env, hdfs, client = make_hdfs_world(replication=replication)
-        if use_legacy:
-            run(env, legacy_hdfs_write(client, "/f", data))
-        else:
-            run(env, client.write("/f", data))
-        locations = [tuple(b.locations) for b
-                     in hdfs.namenode.get_block_locations("/f")]
-        return env.now, locations, hdfs.read_file_sync("/f"), \
-            client.bytes_written
-
-    old_now, old_locs, old_bytes, old_written = drive(use_legacy=True)
-    new_now, new_locs, new_bytes, new_written = drive(use_legacy=False)
-    assert new_bytes == old_bytes == data
-    assert new_locs == old_locs
-    assert new_written == old_written == n_bytes
-    assert new_now == pytest.approx(old_now, abs=1e-9)
+    """Default-knob ``DFSClient.write``: every replica reads back as the
+    payload and the datanodes hold ``len(data) x replication`` bytes."""
+    _now, hdfs, client, data = hdfs_write_world(replication, n_bytes)
+    assert hdfs.read_file_sync("/f") == data
+    assert_replicas_hold(hdfs, "/f", data, replication)
+    assert sum(dn.used_bytes for dn in hdfs.datanodes) \
+        == n_bytes * replication
+    assert client.bytes_written == n_bytes
 
 
 @pytest.mark.parametrize("seed", [1, 5, 17])
 def test_concurrent_hdfs_writes_match_legacy(seed):
-    """Several writers racing on the same datanodes/links."""
-    rng = random.Random(seed)
-    jobs = [(f"/f{i}", payload(rng.randrange(1, 500), seed=seed * 10 + i))
-            for i in range(3)]
-
-    def drive(use_legacy):
-        env, hdfs, _client = make_hdfs_world(replication=2)
-        clients = [hdfs.client(hdfs.datanode(name).node)
-                   for name in list(hdfs._datanodes)[:3]]
-        finishes = []
-
-        def one(client, path, data):
-            if use_legacy:
-                yield env.process(legacy_hdfs_write(client, path, data))
-            else:
-                yield env.process(client.write(path, data))
-            finishes.append((path, env.now))
-
-        for client, (path, data) in zip(clients, jobs):
-            env.process(one(client, path, data))
-        env.run()
-        stored = {path: hdfs.read_file_sync(path) for path, _ in jobs}
-        return finishes, stored
-
-    old, old_stored = drive(use_legacy=True)
-    new, new_stored = drive(use_legacy=False)
-    assert new_stored == old_stored
-    for (p_new, t_new), (p_old, t_old) in zip(new, old):
-        assert p_new == p_old
-        assert t_new == pytest.approx(t_old, abs=1e-9)
+    """Writers racing on the same datanodes and links each store
+    exactly their own payload."""
+    finishes, hdfs, jobs = concurrent_hdfs_writes_world(seed)
+    assert sorted(path for path, _t in finishes) == \
+        sorted(path for path, _data in jobs)
+    for path, data in jobs:
+        assert_replicas_hold(hdfs, path, data, replication=2)
+    assert sum(dn.used_bytes for dn in hdfs.datanodes) \
+        == 2 * sum(len(data) for _path, data in jobs)
 
 
 # -------------------------------------------------------------- PFS writes
@@ -106,88 +72,32 @@ def test_concurrent_hdfs_writes_match_legacy(seed):
     (1, 0, 50), (2, 0, 1000), (3, 37, 613), (4, 250, 901), (5, 99, 1),
 ])
 def test_pfs_write_matches_legacy(seed, offset, n_bytes):
-    """Default-knob PFSClient.write ≡ frozen unbounded stripe pushes,
-    including odd offsets that start mid-stripe."""
-    data = payload(n_bytes, seed=seed)
-
-    def drive(use_legacy):
-        env, pfs, client = make_pfs_world(stripe_size=100, stripe_count=4)
-        # pre-create so both worlds write into an identical layout and
-        # the offset write has a defined prefix
-        pfs.store_file("/f", payload(offset + n_bytes, seed=seed + 100))
-        if use_legacy:
-            run(env, legacy_pfs_write(client, "/f", data, offset=offset))
-        else:
-            run(env, client.write("/f", data, offset=offset))
-        return env.now, pfs.read_file_sync("/f"), client.bytes_written
-
-    old_now, old_bytes, _old_written = drive(use_legacy=True)
-    new_now, new_bytes, new_written = drive(use_legacy=False)
-    assert new_bytes == old_bytes
-    assert new_bytes[offset:offset + n_bytes] == data
-    assert new_written == n_bytes  # the satellite accounting fix
-    assert new_now == pytest.approx(old_now, abs=1e-9)
+    """Default-knob ``PFSClient.write``, including odd offsets that
+    start mid-stripe: the payload lands at ``offset``, the prefix keeps
+    the base bytes, and the client counts the payload bytes."""
+    _now, stored, base, data, client = pfs_write_world(
+        seed, offset, n_bytes)
+    assert stored == base[:offset] + data
+    assert client.bytes_written == n_bytes
 
 
 def test_pfs_write_creates_file_like_legacy():
-    data = payload(333, seed=7)
-
-    def drive(use_legacy):
-        env, pfs, client = make_pfs_world(stripe_size=64, stripe_count=4)
-        writer = (legacy_pfs_write(client, "/new", data) if use_legacy
-                  else client.write("/new", data))
-        run(env, writer)
-        return env.now, pfs.read_file_sync("/new")
-
-    old_now, old_bytes = drive(use_legacy=True)
-    new_now, new_bytes = drive(use_legacy=False)
-    assert new_bytes == old_bytes == data
-    assert new_now == pytest.approx(old_now, abs=1e-9)
+    _now, stored, data = pfs_create_world()
+    assert stored == data
 
 
 # ------------------------------------------------------------ MPI-IO writes
-def make_mpi_world(n_ranks=4):
-    env = Environment()
-    cluster = Cluster(env)
-    ranks = [cluster.add_node(f"c{i}", small_spec(), role="compute")
-             for i in range(n_ranks)]
-    oss0 = cluster.add_node("oss0", small_spec(n_disks=2), role="storage")
-    oss1 = cluster.add_node("oss1", small_spec(n_disks=2), role="storage")
-    pfs = PFS(env, cluster.network, oss0, [oss0, oss1],
-              default_layout=StripeLayout(stripe_size=64, stripe_count=4))
-    return env, pfs, [PFSClient(pfs, node) for node in ranks]
-
-
 @pytest.mark.parametrize("seed", [2, 9, 31])
 def test_write_at_all_matches_legacy(seed):
-    """Default-knob MPIFile.write_at_all ≡ frozen two-phase collective."""
-    rng = random.Random(seed)
-    total = 2000
-    cuts = sorted(rng.sample(range(1, total), 3))
-    bounds = list(zip([0, *cuts], [*cuts, total]))
-    data = payload(total, seed=seed)
-    requests = [
-        None if rng.random() < 0.25 else (lo, data[lo:hi])
-        for lo, hi in bounds
-    ]
-    if all(req is None for req in requests):
-        requests[0] = (bounds[0][0], data[bounds[0][0]:bounds[0][1]])
-
-    def drive(use_legacy):
-        env, pfs, clients = make_mpi_world(n_ranks=len(requests))
-        # pre-store a full base file so non-writer ranks' holes read
-        # back as defined bytes in both worlds
-        pfs.store_file("/out", payload(total, seed=seed + 500))
-        handle = MPIFile.open(clients, "/out")
-        writer = (legacy_write_at_all(handle, requests) if use_legacy
-                  else handle.write_at_all(requests))
-        run(env, writer)
-        return env.now, pfs.read_file_sync("/out")
-
-    old_now, old_bytes = drive(use_legacy=True)
-    new_now, new_bytes = drive(use_legacy=False)
-    assert new_bytes == old_bytes
-    assert new_now == pytest.approx(old_now, abs=1e-9)
+    """``MPIFile.write_at_all``: each rank's request lands at its
+    offset; ranges no rank wrote keep the base file's bytes."""
+    _now, stored, base, requests = write_at_all_world(seed)
+    expected = bytearray(base)
+    for request in requests:
+        if request is not None:
+            offset, chunk = request
+            expected[offset:offset + len(chunk)] = chunk
+    assert stored == bytes(expected)
 
 
 # ----------------------------------------------- non-default knob sanity

@@ -1,33 +1,32 @@
-"""Twin-world tests: production shuffle vs the frozen legacy copies.
+"""The shuffle against independent oracles.
 
-With every shuffle knob at its default (overlap off, no parallel
-copies, single-attempt fetches, unbounded merge) the refactored data
-path must be *invisible*: identical partition assignments, identical
-merged byte streams, and job/task timings pinned to 1e-9 against
-:mod:`repro.mapreduce._legacy` — the same twin-world discipline as
-``sim/_legacy.py`` and ``io/_legacy.py``.
+``hash_partition`` is checked against an exact big-int evaluation of
+its 31-fold and its int/tuple/repr rules (:mod:`tests.mapreduce.oracles`),
+the streaming merge against a stable ``sorted()`` of the concatenated
+runs, and ``estimate_size`` against a table of hand-computed sizes.
+Whole default-knob wordcount jobs — the worlds of
+``test_shuffle_pins.py``, which pins their timings — are checked for
+exactly-once output (``collections.Counter`` of the input words), byte
+conservation (``shuffle.bytes`` is the size of the records the reducers
+received) and group counts. Test names keep their historical
+``*_legacy*`` ids.
 """
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
-import repro.mapreduce.runtime as runtime_mod
-from repro.mapreduce import JobConf, JobRunner, TextInputFormat
-from repro.mapreduce._legacy import (
-    LegacyReduceTask,
-    legacy_estimate_size,
-    legacy_hash_partition,
-    legacy_merge_sorted_runs,
-)
 from repro.mapreduce.shuffle import (
     estimate_size,
     hash_partition,
-    merge_sorted_runs,
+    merge_sorted_streams,
     sort_run,
 )
 
-from tests.mapreduce.conftest import run, world  # noqa: F401 (fixture)
+from tests.mapreduce.oracles import merged, partition
+from tests.mapreduce.test_shuffle_pins import TEXT, run_wordcount, wc_reduce
 
 
 # ------------------------------------------------------ pure functions
@@ -56,7 +55,7 @@ def test_hash_partition_matches_legacy_fold(seed):
     for _ in range(500):
         key = random_key(rng)
         n = rng.choice([1, 2, 7, 64, 1009])
-        assert hash_partition(key, n) == legacy_hash_partition(key, n), key
+        assert hash_partition(key, n) == partition(key, n), key
 
 
 def test_hash_partition_vector_path_exact_on_long_keys():
@@ -64,7 +63,7 @@ def test_hash_partition_vector_path_exact_on_long_keys():
     for n in [31, 32, 33, 1000, 65536]:
         key = bytes((i * 37 + 11) % 256 for i in range(n))
         assert hash_partition(key, 0x7FFFFFFF) == \
-            legacy_hash_partition(key, 0x7FFFFFFF)
+            partition(key, 0x7FFFFFFF)
 
 
 @pytest.mark.parametrize("seed", [5, 13])
@@ -76,120 +75,87 @@ def test_streaming_merge_matches_legacy_merge(seed):
                       for _ in range(rng.randrange(0, 12))])
             for _ in range(rng.randrange(0, 6))
         ]
-        assert merge_sorted_runs(runs) == legacy_merge_sorted_runs(runs)
+        assert list(merge_sorted_streams(runs)) == merged(runs)
 
 
 def test_streaming_merge_equal_key_order_matches_legacy():
     # Equal keys must come out in run order then record order.
     runs = [[("k", 0), ("k", 1)], [("k", 2)], [("a", 9), ("k", 3)]]
-    assert merge_sorted_runs(runs) == legacy_merge_sorted_runs(runs)
+    assert list(merge_sorted_streams(runs)) == merged(runs) == [
+        ("a", 9), ("k", 0), ("k", 1), ("k", 2), ("k", 3)]
+
+
+#: (object, size by the estimate's rules): None/bool 1 byte, bytes and
+#: str their (UTF-8) length, numbers 8, arrays their nbytes, containers
+#: 8 plus their items (dicts: keys and values), anything else its repr
+SIZE_TABLE = [
+    (None, 1),
+    (True, 1),
+    (b"", 0),
+    (b"xy", 2),
+    (bytearray(b"abc"), 3),
+    ("s", 1),
+    ("été", 5),
+    (7, 8),
+    (np.int32(-3), 8),
+    (1.5, 8),
+    (np.float32(2.5), 8),
+    (np.zeros((2, 3), dtype=np.float32), 24),
+    ([], 8),
+    ((), 8),
+    ([b"ab", b"cd"], 8 + 2 + 2),
+    ((1, "xyz", None), 8 + 8 + 3 + 1),
+    ({"k": 1}, 8 + 1 + 8),
+    ({1: [b"abcd", 2.0]}, 8 + 8 + (8 + 4 + 8)),
+    (frozenset({b"q"}), 8 + 1),
+    ([[[]]], 8 + 8 + 8),
+    (range(3), len("range(0, 3)")),
+]
 
 
 def test_estimate_size_matches_legacy_on_acyclic_structures():
-    rng = random.Random(42)
-
-    def random_obj(depth=0):
-        if depth > 3 or rng.random() < 0.4:
-            return rng.choice([
-                None, True, b"xy", "s", 7, 1.5,
-                bytes(rng.randrange(20))])
-        kind = rng.randrange(3)
-        children = [random_obj(depth + 1)
-                    for _ in range(rng.randrange(0, 4))]
-        if kind == 0:
-            return children
-        if kind == 1:
-            return tuple(children)
-        return {i: c for i, c in enumerate(children)}
-
-    for _ in range(200):
-        obj = random_obj()
-        assert estimate_size(obj) == legacy_estimate_size(obj)
+    for obj, size in SIZE_TABLE:
+        assert estimate_size(obj) == size, obj
 
 
 def test_estimate_size_shared_substructure_counted_like_legacy():
-    shared = [b"payload"]
+    shared = [b"payload"]            # 8 + 7
     obj = [shared, shared]  # a DAG, not a cycle: both copies count
-    assert estimate_size(obj) == legacy_estimate_size(obj)
+    assert estimate_size(obj) == 8 + 2 * (8 + 7)
 
 
-# ------------------------------------------------- twin-world job runs
-
-TEXT = (b"the quick brown fox\njumps over the lazy dog\n"
-        b"the dog barks\nfox and dog\n") * 25
-
-
-def wc_map(ctx, _offset, line):
-    for word in line.split():
-        ctx.emit(word, 1)
-    ctx.charge(1e-6 * len(line))
-
-
-def wc_reduce(ctx, key, values):
-    ctx.emit(key, sum(values))
-    ctx.charge(1e-7 * len(values))
-
-
-def run_wordcount(world_factory, reduce_task_cls, monkeypatch, **conf):
-    env, cluster, hdfs, nodes = world_factory()
-    hdfs.store_file_sync("/in/text.txt", TEXT)
-    with monkeypatch.context() as patch:
-        patch.setattr(runtime_mod, "ReduceTask", reduce_task_cls)
-        settings = dict(
-            name="twin", mapper=wc_map, reducer=wc_reduce,
-            input_format=TextInputFormat(), n_reducers=3,
-            input_paths=["/in"], map_slots_per_node=2,
-            task_startup=0.01, output_path="/out")
-        settings.update(conf)
-        job = JobConf(**settings)
-        runner = JobRunner(env, nodes, hdfs, cluster.network, job)
-        result = run(env, runner.run())
-    return result
-
-
-def fresh_world():
-    from repro.cluster import Cluster
-    from repro.hdfs import HDFS
-    from repro.sim import Environment
-    from tests.mapreduce.conftest import small_spec
-
-    env = Environment()
-    cluster = Cluster(env)
-    nodes = [cluster.add_node(f"n{i}", small_spec(), role="compute")
-             for i in range(4)]
-    hdfs = HDFS(env, cluster.network, block_size=200, replication=1)
-    for node in nodes:
-        hdfs.add_datanode(node)
-    return env, cluster, hdfs, nodes
-
+# ------------------------------------------------- whole wordcount jobs
 
 @pytest.mark.parametrize("conf", [
     {},                                    # plain wordcount
-    {"combiner": wc_reduce},               # map-side combiner (shared code)
+    {"combiner": wc_reduce},               # map-side combiner
     {"n_reducers": 1},                     # single fat partition
 ])
-def test_default_knobs_pin_legacy_reduce_timings(monkeypatch, conf):
-    new = run_wordcount(fresh_world, runtime_mod.ReduceTask,
-                        monkeypatch, **conf)
-    old = run_wordcount(fresh_world, LegacyReduceTask, monkeypatch, **conf)
+def test_default_knobs_pin_legacy_reduce_timings(conf):
+    received = []
 
-    # Job end-to-end timing pinned to 1e-9.
-    assert new.duration == pytest.approx(old.duration, abs=1e-9)
-    assert new.end == pytest.approx(old.end, abs=1e-9)
+    def recording_reduce(ctx, key, values):
+        received.extend((key, value) for value in values)
+        wc_reduce(ctx, key, values)
 
-    # Per-reduce-task start/end pinned to 1e-9, pairwise.
-    new_r = sorted(new.stats_for("reduce"), key=lambda s: s.task_id)
-    old_r = sorted(old.stats_for("reduce"), key=lambda s: s.task_id)
-    assert len(new_r) == len(old_r) > 0
-    for s_new, s_old in zip(new_r, old_r):
-        assert s_new.start == pytest.approx(s_old.start, abs=1e-9)
-        assert s_new.end == pytest.approx(s_old.end, abs=1e-9)
+    result = run_wordcount(reducer=recording_reduce, **conf)
+    words = TEXT.split()
+    n_reducers = conf.get("n_reducers", 3)
 
-    # Identical byte streams: same partition assignment, same merged
-    # record order, same persisted outputs.
-    assert new.outputs == old.outputs
-    assert new.output_paths == old.output_paths
-    assert new.counters.value("shuffle", "bytes") == \
-        old.counters.value("shuffle", "bytes")
-    assert new.counters.value("reduce", "groups") == \
-        old.counters.value("reduce", "groups")
+    # Exactly-once output: every word counted once, in its own partition.
+    records = [kv for part in result.outputs.values() for kv in part]
+    assert dict(records) == Counter(words)
+    assert len(records) == len(set(words))
+    for p, part in result.outputs.items():
+        assert [k for k, _v in part] == sorted(k for k, _v in part)
+        assert all(partition(k, n_reducers) == p for k, _v in part)
+    assert result.counters.value("reduce", "groups") == len(set(words))
+
+    # Byte conservation: the shuffle moved exactly the records the
+    # reducers received, each a word plus an 8-byte int.
+    shuffled = result.counters.value("shuffle", "bytes")
+    assert shuffled == sum(len(k) + 8 for k, _v in received)
+    if "combiner" not in conf:
+        assert shuffled == sum(len(w) + 8 for w in words)
+    else:
+        assert shuffled < sum(len(w) + 8 for w in words)
