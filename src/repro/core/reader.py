@@ -64,23 +64,6 @@ class PFSReader:
         #: raw bytes delivered after decompression
         self.bytes_delivered = 0
 
-    # -- planner passthroughs (legacy surface) -----------------------------
-    @property
-    def granularity(self) -> Optional[int]:
-        return self.planner.granularity
-
-    @property
-    def request_overhead(self) -> float:
-        return self.planner.request_overhead
-
-    @property
-    def max_inflight(self) -> int:
-        return self.planner.max_inflight
-
-    @property
-    def cache(self) -> Optional[ReadAheadCache]:
-        return self.planner.cache
-
     def _fetch(self, path: str):
         """The piece-fetch thunk handed to the planner."""
         return lambda pos, n: self.client.read(path, pos, n)
@@ -134,9 +117,9 @@ class PFSReader:
         chunks = slab["chunks"]
         fetch = self._fetch(block.source_path)
 
-        if self.max_inflight == 1 or len(chunks) == 1:
-            # Serial (or single-request) path: fetch chunk by chunk, the
-            # exact event sequence of the pre-pipelining reader.
+        if self.planner.max_inflight == 1 or len(chunks) == 1:
+            # Serial (or single-request) path: fetch chunk by chunk, one
+            # range at a time.
             stored_chunks = []
             for chunk in chunks:
                 stored_chunks.append((yield self.env.process(

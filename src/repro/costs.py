@@ -67,8 +67,8 @@ PFS_REQUEST_OVERHEAD = 0.0008
 PFS_MAX_INFLIGHT = 4
 
 #: Default per-OST-run fan-out bound in ``PFSClient.read_extents``.
-#: 0 = unbounded (every coalesced run issued at once), the historical
-#: behaviour; large collective reads can bound it to model client RPC
+#: 0 = unbounded (every coalesced run issued at once under one
+#: ``AllOf``); large collective reads can bound it to model client RPC
 #: slot limits.
 PFS_CLIENT_MAX_INFLIGHT = 0
 
@@ -78,8 +78,9 @@ READAHEAD_CACHE_BYTES = 256 * 1024 * 1024
 
 #: HDFS write-pipeline packet size (real DataNode pipelines stream
 #: 64 KB packets down the replication chain, so hop N→N+1 overlaps hop
-#: N−1→N). Clients default to ``None`` = legacy whole-block
-#: store-and-forward; this is the size to use when enabling it.
+#: N−1→N). Clients default to ``None`` = whole-block
+#: store-and-forward (each hop waits for the whole block); this is the
+#: size to use when enabling it.
 HDFS_PACKET_BYTES = 64 * 1024
 
 #: Default window of concurrent in-flight blocks in ``DFSClient.write``.
@@ -88,12 +89,12 @@ HDFS_PACKET_BYTES = 64 * 1024
 HDFS_WRITE_PARALLEL_BLOCKS = 1
 
 #: Default bounded fan-out window for ``PFSClient.write`` stripe pushes.
-#: 0 = unbounded (every extent pushed at once), the historical shape.
+#: 0 = unbounded (every extent pushed at once under one ``AllOf``).
 PFS_WRITE_MAX_INFLIGHT = 0
 
 #: Chunk granularity for PFS write pushes when chunking is enabled
-#: (Lustre's native 1 MB bulk RPC). Clients default to ``None`` =
-#: legacy whole-extent pushes.
+#: (Lustre's native 1 MB bulk RPC). Clients default to ``None`` = one
+#: push per stripe extent.
 PFS_WRITE_CHUNK_BYTES = 1024 * 1024
 
 

@@ -1,17 +1,17 @@
 """DFSClient: write pipeline and locality-aware reads.
 
 Implements the :class:`repro.io.protocol.StorageClient` protocol; block
-fan-out is delegated to the shared :class:`repro.io.planner.ReadPlanner`
-and writes to the :class:`repro.io.write.WritePlanner` (``hdfs``
-scheme), which roll this client's traffic into the per-scheme datapath
-metrics.
+reads and block pushes share the DFS fan-out shape
+(:func:`repro.io.planner.fan_out_blocks`), and the
+:class:`repro.io.planner.ReadPlanner` / :class:`repro.io.write.WritePlanner`
+(``hdfs`` scheme) roll this client's traffic into the per-scheme
+datapath metrics.
 
 The write path has two replication disciplines:
 
 - **store-and-forward** (``packet_bytes=None``, the default): each
   block is shipped whole to replica N, written, then shipped on to
-  replica N+1 — the frozen legacy shape
-  (:func:`repro.io._legacy.legacy_hdfs_write`).
+  replica N+1.
 - **packet pipeline** (``packet_bytes`` set, e.g.
   ``costs.HDFS_PACKET_BYTES``): the block is split into packets that
   stream down the replica chain like a real DataNode pipeline, so hop
@@ -19,8 +19,8 @@ The write path has two replication disciplines:
   network streams.
 
 Independently, ``write_parallel_blocks`` bounds how many block
-pipelines of one file are in flight at once (1 = legacy sequential
-output stream).
+pipelines of one file are in flight at once (1 = a sequential output
+stream, block after block).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 from repro.cluster.node import Node
 from repro.hdfs.block import BlockInfo
 from repro.hdfs.namenode import HDFSError
-from repro.io.planner import ReadPlanner, chop_range
+from repro.io.planner import ReadPlanner, chop_range, fan_out_blocks
 from repro.io.write import WritePlanner
 from repro.obs.trace import tracer_of
 from repro.sim import AllOf, Event
@@ -53,12 +53,12 @@ class DFSClient:
         self.hdfs = hdfs
         self.node = node
         self.env = hdfs.env
-        #: the shared read planner (block fan-out + per-scheme metrics)
+        #: the shared read planner (per-scheme metrics)
         self.planner = ReadPlanner(self.env, scheme="hdfs")
-        #: the shared write planner (block fan-out + per-scheme metrics)
+        #: the shared write planner (per-scheme metrics)
         self.write_planner = WritePlanner(self.env, scheme="hdfs")
         #: replication pipeline packet size; None = whole-block
-        #: store-and-forward (the legacy shape)
+        #: store-and-forward
         self.packet_bytes = (
             getattr(hdfs, "packet_bytes", None)
             if packet_bytes is None else packet_bytes)
@@ -92,7 +92,7 @@ class DFSClient:
 
     def _store_and_forward(self, block: BlockInfo, chunk: bytes):
         """Whole-block replication: ship to replica N, write, ship on to
-        replica N+1 — the frozen legacy discipline. DES generator."""
+        replica N+1. DES generator."""
         prev_node = self.node
         for target_name in block.locations:
             datanode = self.hdfs.datanode(target_name)
@@ -174,7 +174,8 @@ class DFSClient:
                             entry.path, len(chunk), writer=self.node.name),
                         chunk))
                     pos += len(chunk)
-                yield from self.write_planner.fan_out_blocks(
+                yield from fan_out_blocks(
+                    self.env,
                     [lambda b=b, c=c: self._push_block(b, c)
                      for b, c in allocated],
                     window)
@@ -265,8 +266,7 @@ class DFSClient:
             factories = [
                 lambda b=b, o=o, n=n: self.read_block(b, o, n)
                 for b, o, n in self._block_pieces(blocks, offset, length)]
-        parts = yield from self.planner.fan_out_blocks(
-            factories, max_inflight)
+        parts = yield from fan_out_blocks(self.env, factories, max_inflight)
         return b"".join(parts)
 
     def read_extents(self, path: str, extents,
@@ -283,7 +283,8 @@ class DFSClient:
         pieces = [piece
                   for offset, length in sorted(extents)
                   for piece in self._block_pieces(blocks, offset, length)]
-        parts = yield from self.planner.fan_out_blocks(
+        parts = yield from fan_out_blocks(
+            self.env,
             [lambda b=b, o=o, n=n: self.read_block(b, o, n)
              for b, o, n in pieces],
             max_inflight)

@@ -46,7 +46,8 @@ class PFSConnector:
         self.rpc_size = rpc_size
         self.lock_latency = lock_latency
         #: stripe-push window/granularity for the backing PFS clients
-        #: (None/None = the legacy PFS write shape)
+        #: (None/None = the PFS client defaults: one push per stripe
+        #: extent, all in flight at once)
         self.write_max_inflight = write_max_inflight
         self.write_chunk = write_chunk
         # Synthetic block ids must be resolvable by ANY client of this

@@ -32,7 +32,7 @@ class HDFS:
         self.network = network
         self.namenode = NameNode(env, block_size, replication)
         #: replication pipeline packet size inherited by clients;
-        #: None = whole-block store-and-forward (legacy)
+        #: None = whole-block store-and-forward
         self.packet_bytes = packet_bytes
         #: concurrent block pipelines per client write; 1 = sequential
         self.write_parallel_blocks = write_parallel_blocks

@@ -9,26 +9,24 @@ table next to the read rows.
 
 Timing discipline
 -----------------
-The perf-smoke golden numbers pin the simulated physics to 1e-9, so the
-planner reproduces each historical fan-out shape *exactly* at default
-knobs:
+The push plan and the fan-out shape decide the DES event order, so
+they are part of the simulated physics:
 
 - :meth:`WritePlanner.plan_extents` — with no chunk size configured the
-  mapped extents pass through untouched (the legacy one-RPC-per-stripe
-  write; a run merged in object space is discontiguous in the payload
-  unless it is *also* payload-adjacent, which is what
+  mapped extents pass through untouched (one push per stripe extent; a
+  run merged in object space is discontiguous in the payload unless it
+  is *also* payload-adjacent, which is what
   :func:`coalesce_payload_runs` checks before merging).
-- :meth:`WritePlanner.fan_out_stripes` — the PFS client shape: a window
-  strictly between 0 and the push count bounds the fan-out, otherwise
-  every push is issued up front and awaited with one ``AllOf``.
-- :meth:`WritePlanner.fan_out_blocks` — the DFS client shape: windowed
-  only for ``max_inflight != 1`` over multiple blocks, otherwise a
-  serial process-per-block loop (the stock output-stream behaviour).
+- ``PFSClient.write`` drives its pushes through
+  :func:`~repro.sim.pipeline.bounded_fanout` under the planner's
+  ``max_inflight`` (0 = every push issued up front under one ``AllOf``);
+  ``DFSClient.write`` drives whole-block pipelines through
+  :func:`repro.io.planner.fan_out_blocks`.
 
-Changing any of these disciplines changes event creation order and is a
-behaviour change, not a refactor; the twin-world tests in
-``tests/io/test_write_equivalence.py`` hold them to the frozen
-``_legacy`` writers.
+``tests/io/test_dataplane_pins.py`` pins the clocks, placements and
+stored bytes of seeded default-knob write worlds to 1e-9, and
+``tests/io/test_write_equivalence.py`` checks that what each writer
+stores reads back as its payload.
 
 :class:`WriteBehindFlusher` is the task-commit half: map/reduce output
 call sites hand their payload off (pure Python, no simulated time) and
@@ -40,12 +38,12 @@ barrier is :meth:`WriteBehindFlusher.drain`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.io.plan import Extent, WritePlan
 from repro.obs.metrics import metrics_of
-from repro.sim.engine import AllOf, Event
-from repro.sim.pipeline import FanoutWindow, bounded_fanout
+from repro.sim.engine import Event
+from repro.sim.pipeline import FanoutWindow
 
 __all__ = [
     "WriteBehindFlusher",
@@ -85,8 +83,8 @@ def chop_extents(extents: Sequence[Extent],
                  chunk: Optional[int]) -> list[Extent]:
     """Split extents into at most ``chunk``-byte push requests.
 
-    ``chunk=None`` keeps each extent whole (the legacy single push per
-    stripe extent); otherwise each extent becomes ceil(len/chunk)
+    ``chunk=None`` keeps each extent whole (one push per stripe
+    extent); otherwise each extent becomes ceil(len/chunk)
     pieces, in payload order.
     """
     if chunk is None:
@@ -132,8 +130,8 @@ class WritePlanner:
     def plan_extents(self, extents: Sequence[Extent]) -> WritePlan:
         """Build the push plan for mapped extents.
 
-        With no chunk size the extents pass through untouched — the
-        legacy one-push-per-stripe-extent shape. With a chunk size,
+        With no chunk size the extents pass through untouched — one
+        push per stripe extent. With a chunk size,
         payload-contiguous runs are merged first (so a large aligned
         write is not artificially fragmented at stripe boundaries
         smaller than the chunk) and then chopped to the granularity.
@@ -159,45 +157,6 @@ class WritePlanner:
             registry.counter(f"{prefix}.bytes").inc(nbytes)
         if requests:
             registry.counter(f"{prefix}.requests").inc(requests)
-
-    # -- fan-out disciplines ----------------------------------------------
-    def fan_out_stripes(self, factories: Sequence[Callable],
-                        max_inflight: Optional[int] = None):
-        """Drive stripe-push factories, PFS-client style. DES process.
-
-        ``0 < window < n`` bounds the fan-out; anything else issues all
-        pushes up front and awaits them with a single ``AllOf`` (the
-        historical unbounded shape). Results come back in input order.
-        """
-        window = self.max_inflight if max_inflight is None else max_inflight
-        factories = list(factories)
-        if 0 < window < len(factories):
-            results = yield from bounded_fanout(self.env, factories, window)
-            return results
-        procs = [self.env.process(factory()) for factory in factories]
-        if not procs:
-            return []
-        done = yield AllOf(self.env, procs)
-        return [done[proc] for proc in procs]
-
-    def fan_out_blocks(self, factories: Sequence[Callable],
-                       max_inflight: Optional[int] = None):
-        """Drive whole-block push factories, DFS-client style. DES
-        process.
-
-        ``max_inflight != 1`` over multiple blocks keeps that many block
-        pipelines in flight; the default streams serially (one process
-        per block), the stock output-stream behaviour.
-        """
-        window = self.max_inflight if max_inflight is None else max_inflight
-        factories = list(factories)
-        if window != 1 and len(factories) > 1:
-            results = yield from bounded_fanout(self.env, factories, window)
-            return results
-        results = []
-        for factory in factories:
-            results.append((yield self.env.process(factory())))
-        return results
 
 
 class WriteBehindFlusher:

@@ -62,11 +62,12 @@ class JobConf:
     readahead_cache_bytes: int = 0
     #: event-driven copy phase: reducers launch with the job and fetch
     #: each map output as it commits, instead of waiting for the map
-    #: barrier (Hadoop's slowstart at 0). Off = legacy serial barrier.
+    #: barrier (Hadoop's slowstart at 0). Off = reducers start after the
+    #: map barrier.
     shuffle_overlap: bool = False
     #: concurrent fetch streams per reducer (Hadoop's
-    #: mapreduce.reduce.shuffle.parallelcopies). 0 = legacy unbounded
-    #: fan-out: every fetch in flight at once.
+    #: mapreduce.reduce.shuffle.parallelcopies). 0 = unbounded fan-out:
+    #: every fetch in flight at once.
     shuffle_parallel_copies: int = 0
     #: attempts per map-output fetch before the reduce attempt fails;
     #: retries back off by task_retry_backoff like task attempts do
@@ -80,7 +81,7 @@ class JobConf:
     #: flusher that overlaps the next split's compute; the job holds a
     #: hard barrier at commit (drain before history/JobResult), and
     #: per-path flushes stay idempotent-exactly-once under speculation
-    #: and retry. Off = legacy synchronous writes.
+    #: and retry. Off = synchronous writes inside each task.
     write_behind: bool = False
     #: concurrent write-behind flushes in flight; 0 = unbounded
     write_behind_max_inflight: int = 0

@@ -336,17 +336,13 @@ class MapTask:
 class ReduceTask:
     """Fetch one partition from every map, merge, reduce, write output.
 
-    Two copy-phase strategies share the rest of the task:
-
-    * **barrier** (all shuffle knobs at defaults, no feed): the
-      pre-overlap shape — one fetcher per map output, all in flight at
-      once, one ``AllOf`` barrier. Pinned event-for-event against
-      :class:`repro.mapreduce._legacy.LegacyReduceTask`.
-    * **overlapped** (a :class:`MapOutputFeed` and/or
-      ``shuffle_parallel_copies``/``shuffle_fetch_attempts`` set): fetch
-      factories go through a :class:`FanoutWindow` — submitted as map
-      outputs commit, at most ``shuffle_parallel_copies`` in flight,
-      each with per-source retry/backoff.
+    The copy phase submits one fetch per map output through a
+    :class:`FanoutWindow` — as map outputs commit when a
+    :class:`MapOutputFeed` is present, at most
+    ``shuffle_parallel_copies`` in flight (0 = all at once), each with
+    ``shuffle_fetch_attempts`` tries. With every shuffle knob at its
+    default and no feed this is the map-barrier copy, recorded as the
+    ``shuffle`` phase; otherwise it is the overlapped ``copy`` phase.
 
     The merge is always the streaming k-way merge;
     ``shuffle_merge_factor`` bounds its width with intermediate spill
@@ -411,9 +407,9 @@ class ReduceTask:
                     self.job.task_retry_backoff * (attempt + 1))
 
     def _copy_phase(self, ctx: TaskContext):
-        """Overlapped copy: submit a fetch per committed map output —
-        as they arrive when a feed is present — through a bounded
-        window. DES generator returning the fetched runs."""
+        """Submit a fetch per committed map output — as they arrive when
+        a feed is present — through a bounded window. DES generator
+        returning the fetched runs."""
         window = FanoutWindow(self.env, self.job.shuffle_parallel_copies)
         if self.feed is None:
             for output in self.map_outputs:
@@ -478,20 +474,8 @@ class ReduceTask:
             overlapped = (self.feed is not None
                           or job.shuffle_parallel_copies > 0
                           or job.shuffle_fetch_attempts > 1)
-            if overlapped:
-                with ctx.phase("copy"):
-                    runs = yield from self._copy_phase(ctx)
-            else:
-                with ctx.phase("shuffle"):
-                    runs = []
-                    fetchers = [
-                        env.process(self._fetch(mo, ctx))
-                        for mo in self.map_outputs
-                    ]
-                    from repro.sim import AllOf
-                    if fetchers:
-                        done = yield AllOf(env, fetchers)
-                        runs = [done[proc] for proc in fetchers]
+            with ctx.phase("copy" if overlapped else "shuffle"):
+                runs = yield from self._copy_phase(ctx)
 
             runs = [run for run in runs if run]
             if job.shuffle_merge_factor >= 2 \

@@ -9,25 +9,31 @@ allowlisted layers imports guarded internals:
   :class:`repro.io.protocol.StorageClient` and the
   :class:`repro.io.planner.ReadPlanner` — not a fourth private copy of
   the read path.
-- **obs**: the columnar recording core (``repro.obs.columnar``) and the
-  frozen v1 recorders (``repro.obs._legacy``). Instrumented packages
-  record through the :class:`repro.obs.Tracer` / metrics facade; only
-  the obs package itself (and the bench harness that measures both
-  recorders) touches the storage layout.
+- **obs**: the columnar recording core (``repro.obs.columnar``).
+  Instrumented packages record through the :class:`repro.obs.Tracer` /
+  metrics facade; only the obs package itself (and the bench harness
+  that measures the recorders) touches the storage layout.
+- **frozen twins**: a frozen pre-refactor copy ``repro.<pkg>._legacy``
+  (and the ``Legacy*`` names it exports) may be imported only from
+  ``repro.<pkg>`` itself and the ``repro.bench`` harness that times it
+  against the live code.
 
 CI runs this as part of the test suite.
 """
 
 import ast
 from pathlib import Path
+from typing import Optional
 
 import repro
 
 SRC_ROOT = Path(repro.__file__).resolve().parent
 
-#: each rule: packages allowed to touch the internals, the internal
-#: modules, and internal names that must not be imported from repro
-#: packages elsewhere (wherever they are re-exported from)
+#: each rule is one of: an allowlist (packages allowed to touch the
+#: internals, the internal modules, and internal names that must not be
+#: imported from repro packages elsewhere, wherever they are re-exported
+#: from); a scoped ban (imports a package may not make); or the
+#: package-relative frozen-twin rule
 RULES = (
     {
         "label": "storage internals",
@@ -47,11 +53,15 @@ RULES = (
         # the obs package itself plus the bench harness that measures
         # the v1-vs-v2 recorders head to head
         "allowed": ("repro.obs", "repro.bench"),
-        "modules": {
-            "repro.obs.columnar",
-            "repro.obs._legacy",
-        },
-        "names": {"ColumnarLog", "LegacyTracer", "LegacyMonitor"},
+        "modules": {"repro.obs.columnar"},
+        "names": {"ColumnarLog"},
+    },
+    {
+        "label": "frozen twins",
+        # repro.<pkg>._legacy is a test and bench oracle: besides its
+        # own package, only these may import it (the twin-world tests
+        # live outside src and are not linted)
+        "twin_users": ("repro.bench",),
     },
     {
         "label": "sparklike storage isolation",
@@ -62,14 +72,6 @@ RULES = (
         "applies": ("repro.sparklike",),
         "exempt": ("repro.sparklike._legacy",),
         "banned_prefixes": ("repro.hdfs", "repro.pfs", "repro.core"),
-    },
-    {
-        "label": "frozen sparklike v1 engine",
-        # only the twin-world tests (outside src) and the
-        # engine-vs-engine bench may resurrect the eager engine
-        "allowed": ("repro.sparklike", "repro.bench"),
-        "modules": {"repro.sparklike._legacy"},
-        "names": {"LegacyContext", "LegacyRDD"},
     },
     {
         "label": "rlang storage isolation",
@@ -120,7 +122,31 @@ def violations_in(path: Path) -> list[str]:
     return violations_in_source(module_name(path), path.read_text())
 
 
+def _twin_package(target: str, names=()) -> Optional[str]:
+    """The ``repro.<pkg>`` whose frozen twin an import of ``target``
+    (with imported ``names``) reaches, else None."""
+    parts = target.split(".")
+    if len(parts) < 2 or parts[0] != "repro":
+        return None
+    if parts[2:3] == ["_legacy"] or any(
+            name == "_legacy" or name.startswith("Legacy")
+            for name in names):
+        return ".".join(parts[:2])
+    return None
+
+
+def _twin_violation(rule: dict, module: str, target: str,
+                    names=()) -> bool:
+    pkg = _twin_package(target, names)
+    return pkg is not None and not _in_prefixes(
+        module, (pkg, *rule["twin_users"]))
+
+
 def _rule_active(rule: dict, module: str) -> bool:
+    if "twin_users" in rule:
+        # package-relative rule: whether an import is allowed depends on
+        # whose twin it reaches, so it is checked per import
+        return True
     if "applies" in rule:
         # scoped rule: constrains imports *made by* a package
         return (module.startswith(rule["applies"])
@@ -139,7 +165,12 @@ def violations_in_source(module: str, source: str) -> list[str]:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 for rule in rules:
-                    if alias.name in rule.get("modules", ()):
+                    if "twin_users" in rule:
+                        if _twin_violation(rule, module, alias.name):
+                            problems.append(
+                                f"{module}:{node.lineno}: imports "
+                                f"{alias.name} ({rule['label']})")
+                    elif alias.name in rule.get("modules", ()):
                         problems.append(
                             f"{module}:{node.lineno}: imports internal "
                             f"module {alias.name} ({rule['label']})")
@@ -152,6 +183,13 @@ def violations_in_source(module: str, source: str) -> list[str]:
             if node.module is None or not node.module.startswith("repro"):
                 continue
             for rule in rules:
+                if "twin_users" in rule:
+                    if _twin_violation(rule, module, node.module,
+                                       [alias.name for alias in node.names]):
+                        problems.append(
+                            f"{module}:{node.lineno}: imports from "
+                            f"{node.module} ({rule['label']})")
+                    continue
                 if node.module in rule.get("modules", ()):
                     problems.append(
                         f"{module}:{node.lineno}: imports from internal "
@@ -314,8 +352,8 @@ def test_lint_campaign_process_isolation():
 
 
 def test_lint_frozen_legacy_engine_quarantined():
-    """Only sparklike itself and the bench may import the frozen v1
-    engine."""
+    """Every frozen twin ``repro.<pkg>._legacy`` may be imported only
+    from ``repro.<pkg>`` and the bench harness."""
     assert violations_in_source(
         "repro.core.offender",
         "from repro.sparklike._legacy import LegacyContext\n")
@@ -324,6 +362,23 @@ def test_lint_frozen_legacy_engine_quarantined():
     assert violations_in_source(
         "repro.workloads.offender",
         "from repro.sparklike import LegacyRDD\n")
+    # the DES engine's twin is guarded like every other one
+    assert violations_in_source(
+        "repro.mapreduce.offender", "import repro.sim._legacy\n")
+    assert violations_in_source(
+        "repro.io.offender",
+        "from repro.sim._legacy import LegacySharedBandwidth\n")
+    assert violations_in_source(
+        "repro.core.offender", "from repro.sim import _legacy\n")
+    # its own package and the bench harness may import it
+    assert not violations_in_source(
+        "repro.sparklike.context",
+        "from repro.sparklike._legacy import LegacyContext\n")
+    assert not violations_in_source(
+        "repro.sim.engine", "from repro.sim._legacy import LegacyEvent\n")
     assert not violations_in_source(
         "repro.bench.sparkbench",
         "from repro.sparklike._legacy import LegacyContext\n")
+    assert not violations_in_source(
+        "repro.bench.simscale",
+        "from repro.sim._legacy import LegacyEnvironment\n")

@@ -1,8 +1,10 @@
-"""Unit tests for the write planner: planning, fan-out, write-behind."""
+"""Unit tests for the write planner: planning, block fan-out,
+write-behind."""
 
 import pytest
 
 from repro.io.plan import Extent, WritePlan
+from repro.io.planner import fan_out_blocks
 from repro.io.write import (
     WriteBehindFlusher,
     WritePlanner,
@@ -107,56 +109,20 @@ def make_factory(env, duration, log, label):
     return factory
 
 
-def test_fan_out_stripes_unbounded_overlaps_everything():
-    env = Environment()
-    planner = WritePlanner(env, scheme="pfs")
-    log = []
-    factories = [make_factory(env, 1.0, log, i) for i in range(4)]
-    results = run(env, planner.fan_out_stripes(factories))
-    assert results == [0, 1, 2, 3]
-    assert env.now == pytest.approx(1.0)  # all four in parallel
-    assert [e for e in log if e[0] == "start"] == [
-        ("start", i, 0.0) for i in range(4)]
-
-
-def test_fan_out_stripes_windowed_bounds_concurrency():
-    env = Environment()
-    planner = WritePlanner(env, scheme="pfs", max_inflight=2)
-    log = []
-    factories = [make_factory(env, 1.0, log, i) for i in range(4)]
-    results = run(env, planner.fan_out_stripes(factories))
-    assert results == [0, 1, 2, 3]
-    assert env.now == pytest.approx(2.0)  # 4 pushes / window 2
-    in_flight = peak = 0
-    for kind, _label, _t in log:
-        in_flight += 1 if kind == "start" else -1
-        peak = max(peak, in_flight)
-    assert peak == 2
-
-
-def test_fan_out_stripes_empty():
-    env = Environment()
-    planner = WritePlanner(env, scheme="pfs")
-    assert run(env, planner.fan_out_stripes([])) == []
-    assert env.now == 0.0
-
-
 def test_fan_out_blocks_default_is_serial():
     env = Environment()
-    planner = WritePlanner(env, scheme="hdfs")
     log = []
     factories = [make_factory(env, 1.0, log, i) for i in range(3)]
-    results = run(env, planner.fan_out_blocks(factories, max_inflight=1))
+    results = run(env, fan_out_blocks(env, factories, max_inflight=1))
     assert results == [0, 1, 2]
     assert env.now == pytest.approx(3.0)  # strictly one block at a time
 
 
 def test_fan_out_blocks_windowed_overlaps():
     env = Environment()
-    planner = WritePlanner(env, scheme="hdfs")
     log = []
     factories = [make_factory(env, 1.0, log, i) for i in range(4)]
-    results = run(env, planner.fan_out_blocks(factories, max_inflight=2))
+    results = run(env, fan_out_blocks(env, factories, max_inflight=2))
     assert results == [0, 1, 2, 3]
     assert env.now == pytest.approx(2.0)
 

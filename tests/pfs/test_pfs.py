@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pfs import PFS, PFSClient, PFSError, StripeLayout
-from repro.pfs.client import coalesce_extents
+from repro.io.planner import coalesce_extents
 from repro.pfs.layout import Extent
 
 from tests.pfs.conftest import run, small_spec
