@@ -234,3 +234,34 @@ def test_empty_input_dir_raises(world):
 
     with pytest.raises(Exception):
         run(env, proc())
+
+
+# ------------------------------------------------------------ float keys
+#: zeros of both signs, NaNs of both signs and one ordinary value
+FLOAT_TEXT = b"0.0\n-0.0\nnan\n1.5\n-nan\n-0.0\nnan\n" * 10
+
+
+def float_key_mapper(ctx, _offset, line):
+    for token in line.split():
+        ctx.emit(float(token), 1)
+
+
+@pytest.mark.parametrize("n_reducers", [1, 2])
+def test_float_keys_group_by_value_whatever_the_reducer_count(
+        world, n_reducers):
+    """-0.0 is 0.0 and every NaN is one key (sorting last), so a float
+    key forms exactly one output group however many reducers share the
+    key space — through the combiner and the reduce-side merge."""
+    env, cluster, hdfs, nodes = world
+    hdfs.store_file_sync("/in/floats.txt", FLOAT_TEXT)
+    job = make_job(mapper=float_key_mapper, n_reducers=n_reducers)
+    result = run(env, JobRunner(env, nodes, hdfs, cluster.network,
+                                job).run())
+    records = [kv for part in result.outputs.values() for kv in part]
+    assert len(records) == 3
+    by_kind = {("nan" if k != k else k): v for k, v in records}
+    assert by_kind == {0.0: 30, 1.5: 10, "nan": 30}
+    assert result.counters.value("reduce", "groups") == 3
+    for part in result.outputs.values():
+        nans = [k != k for k, _v in part]
+        assert nans == sorted(nans)  # NaN sorts after every number

@@ -289,3 +289,22 @@ def test_cached_scidp_rdd_second_action_cheaper():
     rdd.count()
     warm = ctx.env.now - t1
     assert warm < cold  # no PFS reads the second time
+
+
+# ------------------------------------------------------------ float keys
+@pytest.mark.parametrize("n_partitions", [1, 2])
+def test_reduce_by_key_float_keys_follow_the_sql_rule(n_partitions):
+    """-0.0 is 0.0 and all NaN keys form one group that sorts last,
+    whatever the reducer count (the rule SQL GROUP BY follows)."""
+    ctx, _ = make_ctx()
+    nan = float("nan")
+    pairs = [(0.0, 1), (-0.0, 1), (nan, 1), (1.5, 1), (-nan, 1),
+             (-0.0, 1), (float("nan"), 1)] * 5
+    out = (ctx.parallelize(pairs, 4)
+           .reduce_by_key(lambda a, b: a + b, n_partitions)
+           .collect())
+    assert len(out) == 3
+    by_kind = {("nan" if k != k else k): v for k, v in out}
+    assert by_kind == {0.0: 15, 1.5: 5, "nan": 15}
+    if n_partitions == 1:
+        assert [k != k for k, _v in out] == [False, False, True]
